@@ -10,17 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .families import (
     Family,
     FamilySpec,
-    count_idempotents,
-    count_lstar_classes,
-    count_rstar_classes,
+    binom,
+    census,
     enumerate_family,
     formula_idempotents,
     formula_rstar_classes,
@@ -33,6 +30,7 @@ from .green import (
     green,
     starred_characterized,
     starred_definitional,
+    target_table,
 )
 from .rank import (
     closure,
@@ -43,7 +41,6 @@ from .rank import (
     verify_ss1_witnesses,
     verify_theorem_hq,
 )
-from .families import binom
 
 ENUM_GUARD = 12
 RANK_GUARD = 8
@@ -96,52 +93,34 @@ def cmd_enumerate(args) -> int:
 # -- invariants ---------------------------------------------------------
 
 
-def _worker_count() -> int:
-    """Worker cap from SCHROEDER_THREADS (default 1; malformed values ignored)."""
-    try:
-        return max(1, int(os.environ.get("SCHROEDER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _invariant_rows(n: int):
+    t0 = time.perf_counter()
+    counts = census(enumerate_family(FamilySpec(Family.SS_PRIME, n)))
     specs = [
-        ("|SS'|", schroeder_small(n),
-         lambda: len(enumerate_family(FamilySpec(Family.SS_PRIME, n)))),
-        ("idempotents", formula_idempotents(n), lambda: count_idempotents(n)),
+        ("|SS'|", schroeder_small(n), counts.order),
+        ("idempotents", formula_idempotents(n), counts.idempotents),
     ]
     specs += [
-        (f"Rstar-classes p={p}", formula_rstar_classes(n, p),
-         lambda p=p: count_rstar_classes(n, p))
+        (f"Rstar-classes p={p}", formula_rstar_classes(n, p), counts.kernels[p])
         for p in range(n)
     ]
     specs += [
-        (f"Lstar-classes p={p}", binom(n, p),
-         lambda p=p: count_lstar_classes(n, p))
-        for p in range(1, n)
+        (f"Lstar-classes p={p}", binom(n, p), counts.images[p]) for p in range(1, n)
     ]
-    specs.append(
-        ("class-count identity", formula_idempotents(n),
-         lambda: sum(count_rstar_classes(n, p) for p in range(n)))
-    )
-
-    def run(spec):
-        name, formula_value, oracle = spec
-        t0 = time.perf_counter()
-        oracle_value = oracle()
-        return {
+    specs.append(("class-count identity", formula_idempotents(n), sum(counts.kernels)))
+    rows = []
+    for name, formula_value, oracle_value in specs:
+        # the first row carries the census pass
+        t1 = time.perf_counter()
+        rows.append({
             "name": name,
             "formula_value": formula_value,
             "oracle_value": oracle_value,
             "status": "PASS" if formula_value == oracle_value else "FAIL",
-            "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
-        }
-
-    workers = _worker_count()
-    if workers == 1:
-        return [run(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, specs))  # ordered assembly
+            "runtime_ms": round((t1 - t0) * 1000, 3),
+        })
+        t0 = t1
+    return rows
 
 
 def _emit_rows(rows, n: int, fmt: str) -> None:
@@ -172,21 +151,6 @@ def cmd_invariants(args) -> int:
 # -- green --------------------------------------------------------------
 
 
-def _build_target(args):
-    ss = enumerate_family(FamilySpec(Family.SS_PRIME, args.n))
-    if args.target == "ss-prime":
-        return build_table(ss, verify=False)
-    if args.p is None:
-        raise ValueError(f"target {args.target!r} needs --p")
-    if args.target == "ideal":
-        return build_table([a for a in ss if a.height() <= args.p], verify=False)
-    if args.target == "quotient":
-        return build_table(
-            [a for a in ss if a.height() == args.p], collapse_below=args.p, verify=False
-        )
-    raise ValueError(f"unknown target {args.target!r}")
-
-
 def cmd_green(args) -> int:
     classical = args.relation in ("L", "R", "H", "D", "J")
     if args.mode == "definitional" and args.relation not in ("Lstar", "Rstar"):
@@ -206,7 +170,7 @@ def cmd_green(args) -> int:
                 f"n={guard} (raise --max-n)"
             )
     try:
-        table = _build_target(args)
+        table = target_table(args.n, args.target, args.p)
     except ValueError as exc:
         return _fail_usage(str(exc))
     if classical:
@@ -231,7 +195,7 @@ def cmd_rank(args) -> int:
     if args.n > guard:
         return _fail_guard(f"rank computation guarded at n={guard}; raise --max-n")
     try:
-        table = _build_target(args)
+        table = target_table(args.n, args.target, args.p)
     except ValueError as exc:
         return _fail_usage(str(exc))
     result = rank_oracle(table)
@@ -291,16 +255,13 @@ def _verify_rows(n_max: int, long: bool):
 
     for n in range(2, n_max + 1):
         ss = enumerate_family(FamilySpec(Family.SS_PRIME, n))
+        counts = census(ss)
         add(f"order n={n}", len(ss) == schroeder_small(n))
-        add(f"idempotents n={n}",
-            lambda n=n: count_idempotents(n) == formula_idempotents(n))
+        add(f"idempotents n={n}", counts.idempotents == formula_idempotents(n))
         add(
             f"class counts n={n}",
-            lambda n=n: all(
-                count_rstar_classes(n, p) == formula_rstar_classes(n, p)
-                for p in range(n)
-            )
-            and all(count_lstar_classes(n, p) == binom(n, p) for p in range(1, n)),
+            all(counts.kernels[p] == formula_rstar_classes(n, p) for p in range(n))
+            and all(counts.images[p] == binom(n, p) for p in range(1, n)),
         )
         table = build_table(ss, verify=False)
         add(
@@ -320,20 +281,18 @@ def _verify_rows(n_max: int, long: bool):
             )
             add(
                 f"quotient ranks n={n}",
-                lambda n=n, ss=ss: all(
-                    rank_oracle(
-                        build_table([a for a in ss if a.height() == p], collapse_below=p)
-                    ).rank == formula_rank_quotient(n, p)
+                lambda n=n: all(
+                    rank_oracle(target_table(n, "quotient", p)).rank
+                    == formula_rank_quotient(n, p)
                     for p in range(1, n)
                 ),
             )
             if n >= 3:
                 add(
                     f"ideal ranks n={n}",
-                    lambda n=n, ss=ss: all(
-                        rank_oracle(
-                            build_table([a for a in ss if a.height() <= p])
-                        ).rank == formula_rank_ideal(n, p)
+                    lambda n=n: all(
+                        rank_oracle(target_table(n, "ideal", p)).rank
+                        == formula_rank_ideal(n, p)
                         for p in range(1, n - 1)
                     ),
                 )

@@ -12,9 +12,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .pmap import PartialMap, is_requisite, member_ss_prime, requisite_from_image
+from .pmap import PartialMap, requisite_from_image
 
 __all__ = [
     "Family",
@@ -27,6 +27,8 @@ __all__ = [
     "count_rstar_classes",
     "formula_rstar_classes",
     "count_lstar_classes",
+    "Census",
+    "census",
     "verify_identity_corollary",
 ]
 
@@ -89,10 +91,10 @@ def _fill_images(n: int, blocks: list[tuple[int, ...]]) -> Iterator[PartialMap]:
             yield from rec(i + 1, a + 1, acc + [a])
 
     for images in rec(0, 1, []):
-        pairs = tuple(
-            (d, images[i]) for i, block in enumerate(blocks) for d in block
+        # blocks are consecutive slices of an ascending domain
+        yield PartialMap(
+            n, tuple((d, images[i]) for i, block in enumerate(blocks) for d in block)
         )
-        yield PartialMap(n, tuple(sorted(pairs)))
 
 
 def _iter_family(spec: FamilySpec) -> Iterator[PartialMap]:
@@ -201,6 +203,37 @@ def count_lstar_classes(n: int, p: int) -> int:
         a.image() for a in enumerate_family(FamilySpec(Family.JSTAR_SLICE, n, p))
     }
     return len(images)
+
+
+@dataclass(frozen=True)
+class Census:
+    """Counts over SS'(n): the order, the idempotents, and per height
+    p = 0..n-1 the numbers of distinct kernels (R*-classes) and of distinct
+    images (L*-classes)."""
+
+    order: int
+    idempotents: int
+    kernels: tuple[int, ...]
+    images: tuple[int, ...]
+
+
+def census(elements: Sequence[PartialMap]) -> Census:
+    """All the counts of :class:`Census` in one pass over the enumerated
+    SS'(n).  Idempotents are tested by squaring, not recognized as partial
+    identities, so the count stays independent of the formula it checks;
+    the per-element ``count_*`` functions are the slow references."""
+    n = elements[0].n
+    kernels: list[set] = [set() for _ in range(n)]
+    images: list[set] = [set() for _ in range(n)]
+    idempotents = 0
+    for a in elements:
+        image = a.image()
+        kernels[len(image)].add(a.kernel_blocks())
+        images[len(image)].add(image)
+        idempotents += a.is_idempotent()
+    return Census(
+        len(elements), idempotents, tuple(map(len, kernels)), tuple(map(len, images))
+    )
 
 
 def verify_identity_corollary(n: int) -> bool:

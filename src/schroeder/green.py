@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
+from .families import Family, FamilySpec, enumerate_family
 from .pmap import PartialMap, compose
 
 __all__ = [
@@ -86,25 +87,7 @@ class SemigroupTable:
             raise KeyError(f"element {a.encode() if a is not ZERO else '0'} not in table") from None
 
     def product(self, i: int, j: int) -> int:
-        if self._rows is not None:
-            return self._rows[i][j]
-        return self._compute_product(i, j)
-
-    def _compute_product(self, i: int, j: int) -> int:
-        zi = self.zero_index
-        if i == zi or j == zi:
-            return zi
-        a, b = self.elements[i], self.elements[j]
-        c = compose(a, b)
-        if self.collapse_below is not None and c.height() < self.collapse_below:
-            return zi
-        try:
-            return self._index[c.pairs]
-        except KeyError:
-            raise ValueError(
-                f"not closed under composition: {a.encode()} * {b.encode()} "
-                f"= {c.encode()} is missing"
-            ) from None
+        return self.full_table()[i][j]
 
     def full_table(self) -> list:
         """Materialize the whole product table (list of rows of indices).
@@ -148,7 +131,8 @@ class SemigroupTable:
         return rows
 
     def idempotent_indices(self) -> list[int]:
-        return [i for i in range(len(self)) if self.product(i, i) == i]
+        rows = self.full_table()
+        return [i for i in range(len(self)) if rows[i][i] == i]
 
 
 def build_table(
@@ -161,8 +145,8 @@ def build_table(
 
     With ``collapse_below = p`` every product of height < p is identified
     with the zero, realizing a Rees quotient; this forces ``adjoin_zero``.
-    With ``verify=False`` the full product scan is skipped and closure
-    violations surface lazily on first offending lookup.
+    With ``verify=False`` the product table is built on first use instead
+    (the first ``product`` or ``full_table`` call), which raises then.
     """
     elems = sorted(set(elements), key=lambda a: a.encode())
     if not elems:
@@ -186,6 +170,24 @@ def build_table(
     if verify:
         table.full_table()  # raises on the first violating pair
     return table
+
+
+def target_table(n: int, target: str, p: int | None = None) -> SemigroupTable:
+    """The unverified table of SS'(n) ("ss-prime"), of its ideal K(n,p) of
+    heights <= p ("ideal"), or of the Rees quotient on height p with
+    everything lower collapsed to the zero ("quotient")."""
+    if target not in ("ss-prime", "ideal", "quotient"):
+        raise ValueError(f"unknown target {target!r}")
+    if target != "ss-prime" and p is None:
+        raise ValueError(f"target {target!r} needs a height p (--p)")
+    ss = enumerate_family(FamilySpec(Family.SS_PRIME, n))
+    if target == "ss-prime":
+        return build_table(ss, verify=False)
+    if target == "ideal":
+        return build_table([a for a in ss if a.height() <= p], verify=False)
+    return build_table(
+        [a for a in ss if a.height() == p], collapse_below=p, verify=False
+    )
 
 
 @dataclass(frozen=True)

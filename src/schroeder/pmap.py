@@ -151,10 +151,7 @@ class KernelView:
 
     @classmethod
     def of(cls, a: PartialMap) -> "KernelView":
-        groups: dict[int, list[int]] = {}
-        for d, v in a.pairs:
-            groups.setdefault(v, []).append(d)
-        return cls(tuple((tuple(groups[v]), v) for v in sorted(groups)))
+        return cls(tuple(zip(a.kernel_blocks(), a.image())))
 
     def mins(self) -> tuple[int, ...]:
         return tuple(min(block) for block, _ in self.blocks)

@@ -71,13 +71,15 @@ def closure(generators, universe=None) -> set[PartialMap]:
 def closure_indices(table: SemigroupTable, gen_indices) -> set[int]:
     """Subsemigroup generated by the given indices, inside a built table
     (so Rees-quotient products collapse correctly)."""
+    rows = table.full_table()
     gens = sorted(set(gen_indices))
     seen = set(gens)
     work = list(gens)
     while work:
         i = work.pop()
+        row = rows[i]
         for g in gens:
-            c = table.product(i, g)
+            c = row[g]
             if c not in seen:
                 seen.add(c)
                 work.append(c)

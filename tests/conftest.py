@@ -1,6 +1,7 @@
 import pytest
 
-from schroeder import Family, FamilySpec, build_table, enumerate_family
+from schroeder import Family, FamilySpec, enumerate_family
+from schroeder.green import target_table
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +18,7 @@ def ss():
 
 
 @pytest.fixture(scope="session")
-def table(ss):
+def table():
     """Cache of built semigroup tables: table(n) for the full semigroup,
     table(n, p) for the ideal, table(n, p, quotient=True) for the quotient."""
     cache = {}
@@ -25,18 +26,8 @@ def table(ss):
     def get(n, p=None, quotient=False):
         key = (n, p, quotient)
         if key not in cache:
-            if p is None:
-                cache[key] = build_table(ss(n), verify=False)
-            elif quotient:
-                cache[key] = build_table(
-                    [a for a in ss(n) if a.height() == p],
-                    collapse_below=p,
-                    verify=False,
-                )
-            else:
-                cache[key] = build_table(
-                    [a for a in ss(n) if a.height() <= p], verify=False
-                )
+            target = "ss-prime" if p is None else "quotient" if quotient else "ideal"
+            cache[key] = target_table(n, target, p)
         return cache[key]
 
     return get

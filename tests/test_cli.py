@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import schroeder.cli
 from schroeder.cli import main
 
 
@@ -69,13 +70,28 @@ def test_invariants_pass(capsys):
     assert all(r["status"] == "PASS" for r in doc["rows"])
 
 
-def test_invariants_threaded_output_is_identical(capsys, monkeypatch):
-    code, out1, _ = run(capsys, "invariants", "--n", "4", "--format", "csv")
-    monkeypatch.setenv("SCHROEDER_THREADS", "4")
-    code2, out2, _ = run(capsys, "invariants", "--n", "4", "--format", "csv")
-    assert code == code2 == 0
-    strip = lambda text: [row[:4] for row in csv.reader(io.StringIO(text))]
-    assert strip(out1) == strip(out2)  # identical apart from runtime column
+def test_invariants_enumerates_once(capsys, monkeypatch):
+    calls = []
+    real = schroeder.cli.enumerate_family
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(schroeder.cli, "enumerate_family", counting)
+    code, _, _ = run(capsys, "invariants", "--n", "5")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_invariants_csv_matches_json(capsys):
+    _, text, _ = run(capsys, "invariants", "--n", "4", "--format", "csv")
+    _, doc, _ = run(capsys, "invariants", "--n", "4", "--format", "json")
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header[-1] == "runtime_ms"
+    assert [row[:-1] for row in rows] == [
+        [str(r[k]) for k in header[:-1]] for r in json.loads(doc)["rows"]
+    ]
 
 
 def test_green_classical(capsys):

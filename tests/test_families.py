@@ -17,6 +17,7 @@ from schroeder import (
     schroeder_small,
     verify_identity_corollary,
 )
+from schroeder.families import census
 from schroeder.pmap import all_partial_maps
 
 
@@ -152,3 +153,12 @@ def test_p_zero_slice_is_empty_map_alone():
             PartialMap.empty(n)
         ]
         assert formula_rstar_classes(n, 0) == 1
+
+
+def test_census_matches_count_references():
+    for n in (2, 3, 4, 5, 6):
+        counts = census(enumerate_family(FamilySpec(Family.SS_PRIME, n)))
+        assert counts.order == schroeder_small(n)
+        assert counts.idempotents == count_idempotents(n)
+        assert counts.kernels == tuple(count_rstar_classes(n, p) for p in range(n))
+        assert counts.images[1:] == tuple(count_lstar_classes(n, p) for p in range(1, n))
