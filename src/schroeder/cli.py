@@ -18,6 +18,7 @@ from .families import (
     FamilySpec,
     binom,
     census,
+    count_idempotents,
     enumerate_family,
     formula_idempotents,
     formula_rstar_classes,
@@ -26,7 +27,6 @@ from .families import (
 from .green import (
     ZERO,
     abundance_report,
-    build_table,
     green,
     starred_characterized,
     starred_definitional,
@@ -94,23 +94,14 @@ def cmd_enumerate(args) -> int:
 
 
 def _invariant_rows(n: int):
-    t0 = time.perf_counter()
-    counts = census(enumerate_family(FamilySpec(Family.SS_PRIME, n)))
-    specs = [
-        ("|SS'|", schroeder_small(n), counts.order),
-        ("idempotents", formula_idempotents(n), counts.idempotents),
-    ]
-    specs += [
-        (f"Rstar-classes p={p}", formula_rstar_classes(n, p), counts.kernels[p])
-        for p in range(n)
-    ]
-    specs += [
-        (f"Lstar-classes p={p}", binom(n, p), counts.images[p]) for p in range(1, n)
-    ]
-    specs.append(("class-count identity", formula_idempotents(n), sum(counts.kernels)))
+    """Count rows read from one census of SS'(n); the idempotents are
+    counted by ``count_idempotents``.  Each row's ``runtime_ms`` is the time
+    since the previous row, so the first row carries the census."""
     rows = []
-    for name, formula_value, oracle_value in specs:
-        # the first row carries the census pass
+    t0 = time.perf_counter()
+
+    def add(name: str, formula_value: int, oracle_value: int) -> None:
+        nonlocal t0
         t1 = time.perf_counter()
         rows.append({
             "name": name,
@@ -120,6 +111,15 @@ def _invariant_rows(n: int):
             "runtime_ms": round((t1 - t0) * 1000, 3),
         })
         t0 = t1
+
+    counts = census(enumerate_family(FamilySpec(Family.SS_PRIME, n)))
+    add("|SS'|", schroeder_small(n), counts.order)
+    add("idempotents", formula_idempotents(n), count_idempotents(n))
+    for p in range(n):
+        add(f"Rstar-classes p={p}", formula_rstar_classes(n, p), counts.kernels[p])
+    for p in range(1, n):
+        add(f"Lstar-classes p={p}", binom(n, p), counts.images[p])
+    add("class-count identity", formula_idempotents(n), sum(counts.kernels))
     return rows
 
 
@@ -170,7 +170,9 @@ def cmd_green(args) -> int:
                 f"n={guard} (raise --max-n)"
             )
     try:
-        table = target_table(args.n, args.target, args.p)
+        table = target_table(
+            enumerate_family(FamilySpec(Family.SS_PRIME, args.n)), args.target, args.p
+        )
     except ValueError as exc:
         return _fail_usage(str(exc))
     if classical:
@@ -195,7 +197,9 @@ def cmd_rank(args) -> int:
     if args.n > guard:
         return _fail_guard(f"rank computation guarded at n={guard}; raise --max-n")
     try:
-        table = target_table(args.n, args.target, args.p)
+        table = target_table(
+            enumerate_family(FamilySpec(Family.SS_PRIME, args.n)), args.target, args.p
+        )
     except ValueError as exc:
         return _fail_usage(str(exc))
     result = rank_oracle(table)
@@ -257,13 +261,14 @@ def _verify_rows(n_max: int, long: bool):
         ss = enumerate_family(FamilySpec(Family.SS_PRIME, n))
         counts = census(ss)
         add(f"order n={n}", len(ss) == schroeder_small(n))
-        add(f"idempotents n={n}", counts.idempotents == formula_idempotents(n))
+        add(f"idempotents n={n}",
+            lambda n=n: count_idempotents(n) == formula_idempotents(n))
         add(
             f"class counts n={n}",
             all(counts.kernels[p] == formula_rstar_classes(n, p) for p in range(n))
             and all(counts.images[p] == binom(n, p) for p in range(1, n)),
         )
-        table = build_table(ss, verify=False)
+        table = target_table(ss, "ss-prime")
         add(
             f"abundance n={n}",
             lambda table=table: (
@@ -281,8 +286,8 @@ def _verify_rows(n_max: int, long: bool):
             )
             add(
                 f"quotient ranks n={n}",
-                lambda n=n: all(
-                    rank_oracle(target_table(n, "quotient", p)).rank
+                lambda n=n, ss=ss: all(
+                    rank_oracle(target_table(ss, "quotient", p)).rank
                     == formula_rank_quotient(n, p)
                     for p in range(1, n)
                 ),
@@ -290,8 +295,8 @@ def _verify_rows(n_max: int, long: bool):
             if n >= 3:
                 add(
                     f"ideal ranks n={n}",
-                    lambda n=n: all(
-                        rank_oracle(target_table(n, "ideal", p)).rank
+                    lambda n=n, ss=ss: all(
+                        rank_oracle(target_table(ss, "ideal", p)).rank
                         == formula_rank_ideal(n, p)
                         for p in range(1, n - 1)
                     ),

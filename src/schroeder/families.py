@@ -207,33 +207,27 @@ def count_lstar_classes(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class Census:
-    """Counts over SS'(n): the order, the idempotents, and per height
-    p = 0..n-1 the numbers of distinct kernels (R*-classes) and of distinct
-    images (L*-classes)."""
+    """Counts over SS'(n): the order, and per height p = 0..n-1 the numbers
+    of distinct kernels (R*-classes) and of distinct images (L*-classes)."""
 
     order: int
-    idempotents: int
     kernels: tuple[int, ...]
     images: tuple[int, ...]
 
 
 def census(elements: Sequence[PartialMap]) -> Census:
     """All the counts of :class:`Census` in one pass over the enumerated
-    SS'(n).  Idempotents are tested by squaring, not recognized as partial
-    identities, so the count stays independent of the formula it checks;
-    the per-element ``count_*`` functions are the slow references."""
+    SS'(n); ``count_rstar_classes`` and ``count_lstar_classes`` are the slow
+    references.  Idempotents are left to ``count_idempotents``, which tests
+    each map by squaring it."""
     n = elements[0].n
     kernels: list[set] = [set() for _ in range(n)]
     images: list[set] = [set() for _ in range(n)]
-    idempotents = 0
     for a in elements:
         image = a.image()
         kernels[len(image)].add(a.kernel_blocks())
         images[len(image)].add(image)
-        idempotents += a.is_idempotent()
-    return Census(
-        len(elements), idempotents, tuple(map(len, kernels)), tuple(map(len, images))
-    )
+    return Census(len(elements), tuple(map(len, kernels)), tuple(map(len, images)))
 
 
 def verify_identity_corollary(n: int) -> bool:

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .families import Family, FamilySpec, enumerate_family
 from .pmap import PartialMap, compose
 
 __all__ = [
@@ -172,17 +171,22 @@ def build_table(
     return table
 
 
-def target_table(n: int, target: str, p: int | None = None) -> SemigroupTable:
-    """The unverified table of SS'(n) ("ss-prime"), of its ideal K(n,p) of
-    heights <= p ("ideal"), or of the Rees quotient on height p with
-    everything lower collapsed to the zero ("quotient")."""
+def target_table(
+    ss: Sequence[PartialMap], target: str, p: int | None = None
+) -> SemigroupTable:
+    """The unverified table of the enumerated SS'(n) ("ss-prime"), of its
+    ideal K(n,p) of heights <= p ("ideal"), or of the Rees quotient on
+    height p with everything lower collapsed to the zero ("quotient");
+    1 <= p <= n-1."""
     if target not in ("ss-prime", "ideal", "quotient"):
         raise ValueError(f"unknown target {target!r}")
-    if target != "ss-prime" and p is None:
-        raise ValueError(f"target {target!r} needs a height p (--p)")
-    ss = enumerate_family(FamilySpec(Family.SS_PRIME, n))
     if target == "ss-prime":
         return build_table(ss, verify=False)
+    if p is None:
+        raise ValueError(f"target {target!r} needs a height p (--p)")
+    n = ss[0].n
+    if not 1 <= p <= n - 1:
+        raise ValueError(f"target {target!r} needs 1 <= p <= n-1 (--p), got p={p}, n={n}")
     if target == "ideal":
         return build_table([a for a in ss if a.height() <= p], verify=False)
     return build_table(

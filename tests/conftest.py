@@ -18,7 +18,7 @@ def ss():
 
 
 @pytest.fixture(scope="session")
-def table():
+def table(ss):
     """Cache of built semigroup tables: table(n) for the full semigroup,
     table(n, p) for the ideal, table(n, p, quotient=True) for the quotient."""
     cache = {}
@@ -27,7 +27,7 @@ def table():
         key = (n, p, quotient)
         if key not in cache:
             target = "ss-prime" if p is None else "quotient" if quotient else "ideal"
-            cache[key] = target_table(n, target, p)
+            cache[key] = target_table(ss(n), target, p)
         return cache[key]
 
     return get

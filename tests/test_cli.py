@@ -5,6 +5,8 @@ import json
 import pytest
 
 import schroeder.cli
+import schroeder.families
+from schroeder import Family
 from schroeder.cli import main
 
 
@@ -71,17 +73,19 @@ def test_invariants_pass(capsys):
 
 
 def test_invariants_enumerates_once(capsys, monkeypatch):
-    calls = []
-    real = schroeder.cli.enumerate_family
+    # SS'(n) once for the census, E(SS'(n)) once for count_idempotents
+    kinds = []
+    real = schroeder.families.enumerate_family
 
     def counting(spec):
-        calls.append(spec)
+        kinds.append(spec.kind)
         return real(spec)
 
     monkeypatch.setattr(schroeder.cli, "enumerate_family", counting)
+    monkeypatch.setattr(schroeder.families, "enumerate_family", counting)
     code, _, _ = run(capsys, "invariants", "--n", "5")
     assert code == 0
-    assert len(calls) == 1
+    assert kinds == [Family.SS_PRIME, Family.IDEMPOTENTS]
 
 
 def test_invariants_csv_matches_json(capsys):
@@ -136,6 +140,19 @@ def test_green_quotient_needs_p(capsys):
                        "--target", "quotient")
     assert code == 2
     assert "--p" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "--target", "ideal", "--n", "4", "--p", "9"),
+    ("rank", "--target", "ideal", "--n", "4", "--p", "0"),
+    ("rank", "--target", "quotient", "--n", "4", "--p", "4"),
+    ("green", "--target", "quotient", "--n", "4", "--p", "7", "--relation", "R"),
+])
+def test_height_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "1 <= p <= n-1" in err
 
 
 def test_green_verbose_classes(capsys):
