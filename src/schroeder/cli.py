@@ -166,8 +166,8 @@ def cmd_green(args) -> int:
         guard = args.max_n if args.max_n is not None else RANK_GUARD
         if args.n > guard:
             return _fail_guard(
-                f"classical relations need the full product table; guarded at "
-                f"n={guard} (raise --max-n)"
+                f"classical relations guarded at n={guard}: their Cayley graphs "
+                f"take |S| x |generators| products (raise --max-n)"
             )
     try:
         table = target_table(

@@ -1,5 +1,6 @@
-"""Enumeration of element families over the chain {1..n} and the closed-form
-counting formulas they satisfy.
+"""Enumeration of element families over the chain {1..n}, the closed-form
+counting formulas they satisfy, and the distinguished generating sets built
+from them.
 
 Families are generated directly from the tabular form (choose a domain
 avoiding 1, split it into consecutive blocks, pick an increasing image with
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .pmap import PartialMap, requisite_from_image
+from .pmap import PartialMap, eps_1k, requisite_from_image
 
 __all__ = [
     "Family",
@@ -29,6 +30,8 @@ __all__ = [
     "count_lstar_classes",
     "Census",
     "census",
+    "generating_set_G",
+    "ss_prime_minimal_generators",
     "verify_identity_corollary",
 ]
 
@@ -228,6 +231,32 @@ def census(elements: Sequence[PartialMap]) -> Census:
         kernels[len(image)].add(a.kernel_blocks())
         images[len(image)].add(image)
     return Census(len(elements), tuple(map(len, kernels)), tuple(map(len, images)))
+
+
+# -- distinguished generating sets ------------------------------------------
+
+
+def generating_set_G(n: int, p: int) -> set[PartialMap]:
+    """Height-p requisite elements together with height-p idempotents."""
+    if not 1 <= p <= n - 1:
+        raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
+    reqs = enumerate_family(FamilySpec(Family.REQUISITE, n, p))
+    idems = enumerate_family(FamilySpec(Family.IDEMPOTENTS, n, p))
+    return set(reqs) | set(idems)
+
+
+def ss_prime_minimal_generators(n: int) -> set[PartialMap]:
+    """A minimum generating set of the whole semigroup, of size 3n-4:
+    all of height n-1 plus the height n-2 idempotents other than the
+    partial identity missing point 2."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if n == 2:
+        return generating_set_G(2, 1)
+    top = generating_set_G(n, n - 1)
+    reqs = set(enumerate_family(FamilySpec(Family.REQUISITE, n, n - 2)))
+    below = generating_set_G(n, n - 2) - reqs - {eps_1k(n, 2)}
+    return below | top
 
 
 def verify_identity_corollary(n: int) -> bool:

@@ -2,19 +2,21 @@
 
 A :class:`SemigroupTable` interns a composition-closed set of partial maps
 (optionally with a distinguished zero for Rees quotients) and exposes the
-product on element indices.  Classical Green's relations are computed from
-principal ideals via strongly connected components of the one-sided Cayley
-digraphs; starred relations come in a definitional variant (the cancellation
-biconditional quantified over S^1) and a characterized fast path (grouping
-by image / kernel / height).
+product on element indices.  Classical Green's relations are the strongly
+connected components of the left and right Cayley graphs over a generating
+set, so no |S|^2 product table is built for them; starred relations come in
+a definitional variant (the cancellation biconditional quantified over S^1)
+and a characterized fast path (grouping by image / kernel / height).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
 
+from .families import generating_set_G, schroeder_small, ss_prime_minimal_generators
 from .pmap import PartialMap, compose
 
 __all__ = [
@@ -74,6 +76,10 @@ class SemigroupTable:
 
     _index: dict = field(repr=False)
     _rows: list = field(default=None, repr=False)  # full product table, lazy
+    _dicts: list = field(default=None, repr=False)  # elements as dicts, lazy
+    _gens: list = field(default=None, repr=False)  # generating set, lazy
+    _right: list = field(default=None, repr=False)  # right Cayley graph, lazy
+    _left: list = field(default=None, repr=False)  # left Cayley graph, lazy
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -88,50 +94,120 @@ class SemigroupTable:
     def product(self, i: int, j: int) -> int:
         return self.full_table()[i][j]
 
-    def full_table(self) -> list:
-        """Materialize the whole product table (list of rows of indices).
+    def products(self, i: int, js) -> list[int]:
+        """Indices of the products i*j for j in js: a row of the product
+        table, or part of one.  Raises ValueError when a product is missing
+        from the table, i.e. the set is not closed.
 
         Works on raw pair tuples instead of PartialMap values; at ~10^3
-        elements the 10^6 products stay in the seconds range.
+        elements the 10^6 products of a full table stay in the seconds range.
         """
-        if self._rows is not None:
-            return self._rows
-        size = len(self.elements)
         zi = self.zero_index
+        if i == zi:
+            return [zi] * len(js)
+        if self._dicts is None:
+            self._dicts = [None if a is ZERO else dict(a.pairs) for a in self.elements]
+        dict_of = self._dicts
+        apairs = self.elements[i].pairs
         cut = self.collapse_below
         index = self._index
-        pairs_of = [None if a is ZERO else a.pairs for a in self.elements]
-        dict_of = [None if a is ZERO else dict(a.pairs) for a in self.elements]
-        rows = []
-        for i in range(size):
-            if i == zi:
-                rows.append([zi] * size)
+        row = []
+        for j in js:
+            if j == zi:
+                row.append(zi)
                 continue
-            apairs = pairs_of[i]
-            row = []
-            for j in range(size):
-                if j == zi:
-                    row.append(zi)
-                    continue
-                bd = dict_of[j]
-                cpairs = tuple((d, bd[v]) for d, v in apairs if v in bd)
-                if cut is not None and len({v for _, v in cpairs}) < cut:
-                    row.append(zi)
-                    continue
-                k = index.get(cpairs)
-                if k is None:
-                    a, b = self.elements[i], self.elements[j]
-                    raise ValueError(
-                        f"not closed under composition: {a.encode()} * {b.encode()} is missing"
-                    )
-                row.append(k)
-            rows.append(row)
-        self._rows = rows
-        return rows
+            bd = dict_of[j]
+            cpairs = tuple([(d, bd[v]) for d, v in apairs if v in bd])
+            if cut is not None and len({v for _, v in cpairs}) < cut:
+                row.append(zi)
+                continue
+            k = index.get(cpairs)
+            if k is None:
+                a, b = self.elements[i], self.elements[j]
+                raise ValueError(
+                    f"not closed under composition: {a.encode()} * {b.encode()} is missing"
+                )
+            row.append(k)
+        return row
+
+    def full_table(self) -> list:
+        """Materialize the whole product table (list of rows of indices)."""
+        if self._rows is None:
+            columns = range(len(self))
+            self._rows = [self.products(i, columns) for i in columns]
+        return self._rows
+
+    def right_cayley(self) -> list[list[int]]:
+        """right[x] lists x*g for the generators g in ``_gens``, in their
+        order; see :func:`_right_cayley_graph`."""
+        if self._right is None:
+            self._gens, self._right = _right_cayley_graph(self)
+        return self._right
+
+    def left_cayley(self) -> list[tuple[int, ...]]:
+        """left[x] lists g*x for the generators g in ``_gens``, in their order."""
+        if self._left is None:
+            self.right_cayley()  # chooses the generators
+            columns = range(len(self))
+            self._left = list(zip(*(self.products(g, columns) for g in self._gens)))
+        return self._left
 
     def idempotent_indices(self) -> list[int]:
-        rows = self.full_table()
-        return [i for i in range(len(self)) if rows[i][i] == i]
+        return [i for i in range(len(self)) if self.products(i, (i,))[0] == i]
+
+
+def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
+    """Indices of a seed for the generating set, from the table's shape: the
+    3n-4 minimum generators of SS'(n) when the top height is n-1, else
+    G(n,p) at the top height p; only the seed elements that are in the table.
+    The seed only saves work; correctness never rests on it.  It costs an
+    enumeration of SS'(n), while the graphs of a table of |S| elements never
+    take more than |S|^2 products, so a table smaller than that goes without.
+    """
+    n, top = table.n, max(heights)
+    if not 1 <= top <= n - 1 or len(table) ** 2 < schroeder_small(n):
+        return []
+    hint = ss_prime_minimal_generators(n) if top == n - 1 else generating_set_G(n, top)
+    index = table._index
+    return sorted(index[a.pairs] for a in hint if a.pairs in index)
+
+
+def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
+    """A generating set A of the table and its right Cayley graph over A.
+
+    Breadth-first search over right multiplications by A, starting from A,
+    which is seeded by :func:`_generator_hint`.  Whenever the search ends
+    with an element unreached, the first such element by descending height
+    joins A and the search extends from it.  Every x*g is looked up in the
+    table, which raises ValueError when it is missing.  So when this returns,
+    S*A is within S and S = <A>, hence S*S is within S: the set is closed.
+    """
+    size = len(table)
+    heights = [-1 if a is ZERO else a.height() for a in table.elements]
+    order = sorted(range(size), key=lambda i: -heights[i])
+    right: list[list[int]] = [[] for _ in range(size)]
+    reached = [False] * size
+    members: list[int] = []  # the reached elements
+    gens: list[int] = []
+    unreached = (i for i in order if not reached[i])
+    pending = _generator_hint(table, heights) or list(islice(unreached, 1))
+    while pending:
+        gens += pending
+        for g in pending:
+            reached[g] = True
+        members += pending
+        work = list(members)  # every member still lacks the new generators
+        while work:
+            x = work.pop()
+            row = table.products(x, gens[len(right[x]):])
+            right[x] += row
+            for y in row:
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+                    work.append(y)
+        pending = list(islice(unreached, 1))
+    return gens, right
 
 
 def build_table(
@@ -144,8 +220,9 @@ def build_table(
 
     With ``collapse_below = p`` every product of height < p is identified
     with the zero, realizing a Rees quotient; this forces ``adjoin_zero``.
-    With ``verify=False`` the product table is built on first use instead
-    (the first ``product`` or ``full_table`` call), which raises then.
+    Closure is checked by building the right Cayley graph, which raises on
+    a missing product.  With ``verify=False`` that check happens on
+    first use instead: a product table or Cayley graph raises then.
     """
     elems = sorted(set(elements), key=lambda a: a.encode())
     if not elems:
@@ -167,7 +244,7 @@ def build_table(
         _index=index,
     )
     if verify:
-        table.full_table()  # raises on the first violating pair
+        table.right_cayley()  # raises on the first missing product
     return table
 
 
@@ -293,32 +370,24 @@ def _scc_partition(size: int, successors) -> EqPartition:
 
 
 def green(table: SemigroupTable, which: GreenName) -> EqPartition:
-    """Classical Green's relation via principal-ideal reachability.
+    """Classical Green's relation from the Cayley graphs over a generating
+    set A of the table.
 
     a and b are L-related iff each lies in the other's principal left ideal
-    S^1 a, i.e. iff they are mutually reachable under left multiplications;
-    likewise for R and J.  H = L intersect R; D = join of L and R.
+    S^1 a.  Every x in S is a product g1...gk of generators, so b = x a iff
+    a path of left multiplications by generators leads from a to b: L is
+    the strongly connected components of the left Cayley graph, R those of
+    the right one, J those of their union.  H = L intersect R; D = join of
+    L and R.
     """
-    rows = table.full_table()
     size = len(table)
-    indices = range(size)
-
-    def left_succ(i):  # x * a for all x
-        return (rows[x][i] for x in indices)
-
-    def right_succ(i):  # a * y for all y
-        return (rows[i][y] for y in indices)
-
-    def both_succ(i):
-        yield from left_succ(i)
-        yield from right_succ(i)
-
     if which == "L":
-        return _scc_partition(size, left_succ)
+        return _scc_partition(size, table.left_cayley().__getitem__)
     if which == "R":
-        return _scc_partition(size, right_succ)
+        return _scc_partition(size, table.right_cayley().__getitem__)
     if which == "J":
-        return _scc_partition(size, both_succ)
+        left, right = table.left_cayley(), table.right_cayley()
+        return _scc_partition(size, lambda i: chain(left[i], right[i]))
     if which == "H":
         lcl = green(table, "L").class_id
         rcl = green(table, "R").class_id
@@ -352,14 +421,15 @@ def green(table: SemigroupTable, which: GreenName) -> EqPartition:
 
 
 def regular_indices(table: SemigroupTable) -> list[int]:
-    """Indices of regular elements: a with a b a == a for some b."""
-    rows = table.full_table()
-    size = len(table)
-    return [
-        i
-        for i in range(size)
-        if any(rows[rows[i][b]][i] == i for b in range(size))
-    ]
+    """Indices of regular elements: a with a b a == a for some b.
+
+    In any semigroup a is regular iff its L-class holds an idempotent: if
+    a b a = a then e = b a is idempotent and a = a e, e = b a; if a L e with
+    e idempotent, a = x e and e = y a, then a e = a and a y a = a.
+    """
+    class_id = green(table, "L").class_id
+    with_idempotent = {class_id[e] for e in table.idempotent_indices()}
+    return [i for i in range(len(table)) if class_id[i] in with_idempotent]
 
 
 # -- starred relations ----------------------------------------------------

@@ -13,7 +13,14 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .families import Family, FamilySpec, binom, enumerate_family
+from .families import (
+    Family,
+    FamilySpec,
+    binom,
+    enumerate_family,
+    generating_set_G,
+    ss_prime_minimal_generators,
+)
 from .green import ZERO, SemigroupTable
 from .pmap import (
     PartialMap,
@@ -330,32 +337,6 @@ def formula_rank_ideal(n: int, p: int) -> int:
             "use rank_oracle on the full semigroup for the top height"
         )
     return formula_rank_quotient(n, p)
-
-
-# -- distinguished generating sets ------------------------------------------
-
-
-def generating_set_G(n: int, p: int) -> set[PartialMap]:
-    """Height-p requisite elements together with height-p idempotents."""
-    if not 1 <= p <= n - 1:
-        raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
-    reqs = enumerate_family(FamilySpec(Family.REQUISITE, n, p))
-    idems = enumerate_family(FamilySpec(Family.IDEMPOTENTS, n, p))
-    return set(reqs) | set(idems)
-
-
-def ss_prime_minimal_generators(n: int) -> set[PartialMap]:
-    """A minimum generating set of the whole semigroup, of size 3n-4:
-    all of height n-1 plus the height n-2 idempotents other than the
-    partial identity missing point 2."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n == 2:
-        return generating_set_G(2, 1)
-    top = generating_set_G(n, n - 1)
-    reqs = set(enumerate_family(FamilySpec(Family.REQUISITE, n, n - 2)))
-    below = generating_set_G(n, n - 2) - reqs - {eps_1k(n, 2)}
-    return below | top
 
 
 # -- explicit constructions -------------------------------------------------

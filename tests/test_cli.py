@@ -104,6 +104,14 @@ def test_green_classical(capsys):
     assert "classes: 11 (all singletons)" in out
 
 
+def test_green_classical_n7(capsys, ss):
+    # L-classes are the maps sharing the image and the block minima
+    keys = {(a.image(), a.kernel_view().mins()) for a in ss(7)}
+    code, out, _ = run(capsys, "green", "--n", "7", "--relation", "L")
+    assert code == 0
+    assert out == f"classes: {len(keys)}\n"
+
+
 def test_green_dstar(capsys):
     code, out, _ = run(capsys, "green", "--n", "4", "--relation", "Dstar")
     assert code == 0

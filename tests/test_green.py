@@ -1,18 +1,130 @@
+import importlib
+
 import pytest
 
 from schroeder import (
     ZERO,
+    EqPartition,
+    Family,
+    FamilySpec,
     PartialMap,
     abundance_report,
     build_table,
     compose_relations,
+    enumerate_family,
     green,
     partition_as_relation,
     relations_equal,
     starred_characterized,
     starred_definitional,
 )
-from schroeder.green import regular_indices
+from schroeder.green import _scc_partition, regular_indices, target_table
+from schroeder.pmap import all_partial_maps
+
+
+# -- slow references on the full |S|^2 product table ----------------------
+
+
+def green_reference(table, which):
+    """Green's relations from principal-ideal reachability over every
+    product: L (R, J) is mutual reachability under all left (right, both)
+    multiplications; H = L intersect R; D is the equivalence generated by
+    L and R, the components of the graph joining each element to its L- and
+    R-class."""
+    rows = table.full_table()
+    size = len(table)
+    if which == "L":
+        return _scc_partition(size, lambda i: [row[i] for row in rows])
+    if which == "R":
+        return _scc_partition(size, rows.__getitem__)
+    if which == "J":
+        return _scc_partition(size, lambda i: [row[i] for row in rows] + rows[i])
+    L, R = green_reference(table, "L"), green_reference(table, "R")
+    if which == "H":
+        return EqPartition.from_keys(list(zip(L.class_id, R.class_id)))
+    return _scc_partition(size, lambda i: L.class_of(i) + R.class_of(i))
+
+
+def regular_reference(table):
+    """Indices a with a b a == a for some b, by scanning every b."""
+    rows = table.full_table()
+    size = len(table)
+    return [i for i in range(size) if any(rows[rows[i][b]][i] == i for b in range(size))]
+
+
+TARGETS = [(n, None, False) for n in range(2, 7)] + [
+    (n, p, quotient)
+    for n in range(2, 6)
+    for p in range(1, n)
+    for quotient in (False, True)
+]
+
+
+def _target_id(case):
+    n, p, quotient = case
+    if p is None:
+        return f"ss-prime-n{n}"
+    return f"{'quotient' if quotient else 'ideal'}-n{n}-p{p}"
+
+
+@pytest.mark.parametrize("case", TARGETS, ids=_target_id)
+def test_green_matches_table_reference(table, case):
+    t = table(*case)
+    for which in "LRHDJ":
+        assert green(t, which) == green_reference(t, which), which
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        pytest.param(lambda: enumerate_family(FamilySpec(Family.LS, 4)), id="ls-n4"),
+        # all partial maps of {1,2,3}: not R-trivial, and J differs from L
+        pytest.param(lambda: all_partial_maps(3), id="all-partial-maps-n3"),
+    ],
+)
+def test_green_matches_table_reference_without_seed(elements):
+    """These hold maps of height n, so no seed applies and the greedy
+    completion alone finds the generating set."""
+    t = build_table(elements(), verify=False)
+    for which in "LRHDJ":
+        assert green(t, which) == green_reference(t, which), which
+
+
+@pytest.mark.parametrize("case", [c for c in TARGETS if c[0] <= 5], ids=_target_id)
+def test_regular_matches_reference(table, case):
+    t = table(*case)
+    assert regular_indices(t) == regular_reference(t)
+
+
+def test_green_builds_no_product_table(ss):
+    t = target_table(ss(6), "ss-prime")
+    for which in "LRHDJ":
+        green(t, which)
+    regular_indices(t)
+    t.idempotent_indices()
+    assert t._rows is None
+
+
+def test_small_table_skips_the_seed(monkeypatch):
+    """Seeding enumerates SS'(n), 13.6 million maps at n=12; a table of one
+    element must not pay for that."""
+    green_module = importlib.import_module("schroeder.green")
+
+    def unaffordable(*args):
+        raise AssertionError("seed computed for a one-element table")
+
+    monkeypatch.setattr(green_module, "ss_prime_minimal_generators", unaffordable)
+    monkeypatch.setattr(green_module, "generating_set_G", unaffordable)
+    t = build_table([PartialMap.of(12, {i: i for i in range(2, 13)})])
+    assert green(t, "J").num_classes() == 1
+
+
+@pytest.mark.parametrize("which", "LRJ")
+def test_green_rejects_non_closed(which):
+    # {2->1, 3->2} squared is {3->1}, missing from this set
+    t = build_table([PartialMap.of(3, {2: 1, 3: 2})], verify=False)
+    with pytest.raises(ValueError, match="not closed"):
+        green(t, which)
 
 
 def test_build_table_rejects_non_closed():
