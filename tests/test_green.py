@@ -105,6 +105,16 @@ def test_green_builds_no_product_table(ss):
     assert t._rows is None
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_seed_gives_the_minimal_generating_set(ss, n):
+    """Seeded with the 3n-4 minimum generators, the search adds none; the
+    greedy completion alone picks 86 generators at n=6 and makes the
+    graphs several times larger."""
+    t = target_table(ss(n), "ss-prime")
+    t.right_cayley()
+    assert len(t._gens) == 3 * n - 4
+
+
 def test_small_table_skips_the_seed(monkeypatch):
     """Seeding enumerates SS'(n), 13.6 million maps at n=12; a table of one
     element must not pay for that."""
