@@ -43,7 +43,8 @@ from .rank import (
 )
 
 ENUM_GUARD = 12
-RANK_GUARD = 8
+GREEN_GUARD = 8
+RANK_GUARD = 7
 DEFINITIONAL_GUARD = 5
 
 EXIT_OK = 0
@@ -163,7 +164,7 @@ def cmd_green(args) -> int:
                 "use --mode characterized or raise --max-n"
             )
     elif classical:
-        guard = args.max_n if args.max_n is not None else RANK_GUARD
+        guard = args.max_n if args.max_n is not None else GREEN_GUARD
         if args.n > guard:
             return _fail_guard(
                 f"classical relations guarded at n={guard}: their Cayley graphs "
@@ -195,7 +196,12 @@ def cmd_green(args) -> int:
 def cmd_rank(args) -> int:
     guard = args.max_n if args.max_n is not None else RANK_GUARD
     if args.n > guard:
-        return _fail_guard(f"rank computation guarded at n={guard}; raise --max-n")
+        entries = schroeder_small(args.n) ** 2
+        return _fail_guard(
+            f"rank computation guarded at n={guard}: a product table at n={args.n} has "
+            f"up to |SS'({args.n})|^2 = {entries:,} entries, about "
+            f"{entries * 4 / 1e9:.1f} GB at 4 bytes each (raise --max-n)"
+        )
     try:
         table = target_table(
             enumerate_family(FamilySpec(Family.SS_PRIME, args.n)), args.target, args.p
@@ -277,13 +283,13 @@ def _verify_rows(n_max: int, long: bool):
                 and not rep.left_abundant
             ),
         )
+        add(
+            f"green structure n={n}",
+            lambda table=table: green(table, "R").is_identity()
+            and green(table, "H") == green(table, "R")
+            and green(table, "D") == green(table, "L") == green(table, "J"),
+        )
         if n <= 6:
-            add(
-                f"green structure n={n}",
-                lambda table=table: green(table, "R").is_identity()
-                and green(table, "H") == green(table, "R")
-                and green(table, "D") == green(table, "L") == green(table, "J"),
-            )
             add(
                 f"quotient ranks n={n}",
                 lambda n=n, ss=ss: all(
@@ -306,7 +312,6 @@ def _verify_rows(n_max: int, long: bool):
             add(f"idempotent+requisite generation n={n}",
                 lambda n=n: verify_theorem_hq(n))
         else:
-            add(f"green structure n={n}", None)
             add(f"quotient ranks n={n}", None)
             add(f"ideal ranks n={n}", None)
             add(f"semigroup rank n={n}", None)

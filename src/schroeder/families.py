@@ -236,27 +236,34 @@ def census(elements: Sequence[PartialMap]) -> Census:
 # -- distinguished generating sets ------------------------------------------
 
 
+def _idempotents_at(n: int, heights: Sequence[int]) -> dict[int, set[PartialMap]]:
+    """The idempotents of SS'(n) of each given height, from one walk of the
+    family; each map is tested by squaring it."""
+    found: dict[int, set[PartialMap]] = {p: set() for p in heights}
+    for a in _iter_family(FamilySpec(Family.SS_PRIME, n)):
+        at_height = found.get(a.height())
+        if at_height is not None and a.is_idempotent():
+            at_height.add(a)
+    return found
+
+
 def generating_set_G(n: int, p: int) -> set[PartialMap]:
     """Height-p requisite elements together with height-p idempotents."""
     if not 1 <= p <= n - 1:
         raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
     reqs = enumerate_family(FamilySpec(Family.REQUISITE, n, p))
-    idems = enumerate_family(FamilySpec(Family.IDEMPOTENTS, n, p))
-    return set(reqs) | set(idems)
+    return set(reqs) | _idempotents_at(n, (p,))[p]
 
 
 def ss_prime_minimal_generators(n: int) -> set[PartialMap]:
     """A minimum generating set of the whole semigroup, of size 3n-4:
-    all of height n-1 plus the height n-2 idempotents other than the
-    partial identity missing point 2."""
+    all of height n-1 (requisites and idempotents) plus the height n-2
+    idempotents other than the partial identity missing point 2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if n == 2:
-        return generating_set_G(2, 1)
-    top = generating_set_G(n, n - 1)
-    reqs = set(enumerate_family(FamilySpec(Family.REQUISITE, n, n - 2)))
-    below = generating_set_G(n, n - 2) - reqs - {eps_1k(n, 2)}
-    return below | top
+    idems = _idempotents_at(n, (n - 1, n - 2))
+    reqs = set(enumerate_family(FamilySpec(Family.REQUISITE, n, n - 1)))
+    return reqs | idems[n - 1] | (idems[n - 2] - {eps_1k(n, 2)})
 
 
 def verify_identity_corollary(n: int) -> bool:

@@ -12,6 +12,7 @@ and a characterized fast path (grouping by image / kernel / height).
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
@@ -94,6 +95,12 @@ class SemigroupTable:
     def product(self, i: int, j: int) -> int:
         return self.full_table()[i][j]
 
+    def _as_dicts(self) -> list:
+        """Each element as a dict of its pairs; None for the zero."""
+        if self._dicts is None:
+            self._dicts = [None if a is ZERO else dict(a.pairs) for a in self.elements]
+        return self._dicts
+
     def products(self, i: int, js) -> list[int]:
         """Indices of the products i*j for j in js: a row of the product
         table, or part of one.  Raises ValueError when a product is missing
@@ -105,9 +112,7 @@ class SemigroupTable:
         zi = self.zero_index
         if i == zi:
             return [zi] * len(js)
-        if self._dicts is None:
-            self._dicts = [None if a is ZERO else dict(a.pairs) for a in self.elements]
-        dict_of = self._dicts
+        dict_of = self._as_dicts()
         apairs = self.elements[i].pairs
         cut = self.collapse_below
         index = self._index
@@ -130,12 +135,46 @@ class SemigroupTable:
             row.append(k)
         return row
 
-    def full_table(self) -> list:
-        """Materialize the whole product table (list of rows of indices)."""
+    def full_table(self) -> list[array]:
+        """Materialize the whole product table: one ``array('I')`` of
+        product indices per row.
+
+        a*b = {(d, b(a(d)))} depends on b only through its restriction to
+        Im a, so each row composes one representative column per class of
+        equal restrictions through :meth:`products` (which checks closure and
+        applies the Rees collapse) and copies that product to the rest of the
+        class.  The classes are shared by the rows of one image and dropped
+        once the table is built.
+        """
         if self._rows is None:
-            columns = range(len(self))
-            self._rows = [self.products(i, columns) for i in columns]
+            size, zi = len(self), self.zero_index
+            by_image: dict = {}
+            rows = []
+            for i, a in enumerate(self.elements):
+                if i == zi:
+                    rows.append(array("I", [zi]) * size)
+                    continue
+                image = a.image()
+                if image not in by_image:
+                    by_image[image] = self._restriction_classes(image)
+                class_of, reps = by_image[image]
+                composed = self.products(i, reps)
+                rows.append(array("I", [composed[c] for c in class_of]))
+            self._rows = rows
         return self._rows
+
+    def _restriction_classes(self, image: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        """Group the columns b by b restricted to ``image``: the class of
+        each column, and the first column of each class.  The zero is a
+        class of its own."""
+        ids: dict = {}
+        class_of, reps = [], []
+        for j, bd in enumerate(self._as_dicts()):
+            c = ids.setdefault(None if bd is None else tuple(map(bd.get, image)), len(ids))
+            if c == len(reps):
+                reps.append(j)
+            class_of.append(c)
+        return class_of, reps
 
     def right_cayley(self) -> list[list[int]]:
         """right[x] lists x*g for the generators g in ``_gens``, in their

@@ -195,6 +195,14 @@ def test_rank_guard(capsys):
     assert "--max-n" in err
 
 
+def test_rank_guard_table_size(capsys):
+    # SS'(8) has 20793 elements: a table of 20793^2 entries is 1.7 GB
+    code, out, err = run(capsys, "rank", "--n", "8")
+    assert code == 3
+    assert out == ""
+    assert "432,348,849 entries" in err and "--max-n" in err
+
+
 def test_rank_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "rank", "--n", "4", "--format", "json")
     _, out2, _ = run(capsys, "rank", "--n", "4", "--format", "json")
@@ -213,3 +221,11 @@ def test_verify_all_json(capsys):
     assert code == 0
     doc = json.loads(out.splitlines()[0])
     assert all(r["status"] in ("PASS", "SKIPPED") for r in doc["rows"])
+
+
+def test_verify_all_runs_green_structure_past_rank_limit(capsys):
+    code, out, _ = run(capsys, "verify-all", "--n-max", "7")
+    assert code == 0
+    statuses = dict(line.rsplit(None, 1) for line in out.splitlines()[:-1])
+    assert statuses["green structure n=7"] == "PASS"
+    assert statuses["semigroup rank n=7"] == "SKIPPED"

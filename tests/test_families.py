@@ -17,8 +17,9 @@ from schroeder import (
     schroeder_small,
     verify_identity_corollary,
 )
-from schroeder.families import census
-from schroeder.pmap import all_partial_maps
+import schroeder.families
+from schroeder.families import census, ss_prime_minimal_generators
+from schroeder.pmap import all_partial_maps, eps_1k
 
 
 def test_schroeder_small_values():
@@ -161,3 +162,39 @@ def test_census_matches_count_references():
         assert counts.order == schroeder_small(n)
         assert counts.kernels == tuple(count_rstar_classes(n, p) for p in range(n))
         assert counts.images[1:] == tuple(count_lstar_classes(n, p) for p in range(1, n))
+
+
+def minimal_generators_reference(n):
+    """The 3n-4 minimum generators as G(n, n-1) plus G(n, n-2) less its
+    requisites and the partial identity missing point 2, each G(n,p) read
+    from the requisite and idempotent families (two walks of SS'(n))."""
+
+    def G(p):
+        return set(enumerate_family(FamilySpec(Family.REQUISITE, n, p))) | set(
+            enumerate_family(FamilySpec(Family.IDEMPOTENTS, n, p))
+        )
+
+    if n == 2:
+        return G(1)
+    reqs = set(enumerate_family(FamilySpec(Family.REQUISITE, n, n - 2)))
+    return (G(n - 2) - reqs - {eps_1k(n, 2)}) | G(n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_minimal_generators_match_reference(n):
+    gens = ss_prime_minimal_generators(n)
+    assert gens == minimal_generators_reference(n)
+    assert len(gens) == 3 * n - 4
+
+
+def test_minimal_generators_walk_once(monkeypatch):
+    walks = []
+    real = schroeder.families._isotone_decreasing
+
+    def counting(n, domain_pool):
+        walks.append((n, domain_pool))
+        return real(n, domain_pool)
+
+    monkeypatch.setattr(schroeder.families, "_isotone_decreasing", counting)
+    ss_prime_minimal_generators(6)
+    assert walks == [(6, (2, 3, 4, 5, 6))]

@@ -19,7 +19,7 @@ from schroeder import (
     starred_definitional,
 )
 from schroeder.green import _scc_partition, regular_indices, target_table
-from schroeder.pmap import all_partial_maps
+from schroeder.pmap import all_partial_maps, compose
 
 
 # -- slow references on the full |S|^2 product table ----------------------
@@ -38,11 +38,24 @@ def green_reference(table, which):
     if which == "R":
         return _scc_partition(size, rows.__getitem__)
     if which == "J":
-        return _scc_partition(size, lambda i: [row[i] for row in rows] + rows[i])
+        return _scc_partition(size, lambda i: [row[i] for row in rows] + list(rows[i]))
     L, R = green_reference(table, "L"), green_reference(table, "R")
     if which == "H":
         return EqPartition.from_keys(list(zip(L.class_id, R.class_id)))
     return _scc_partition(size, lambda i: L.class_of(i) + R.class_of(i))
+
+
+def product_reference(table, i, j):
+    """Index of i*j by composing the maps with ``pmap.compose``, collapsing
+    a product of height below ``collapse_below`` to the zero, and looking
+    the result up; a missing product raises KeyError."""
+    a, b = table.elements[i], table.elements[j]
+    if a is ZERO or b is ZERO:
+        return table.zero_index
+    c = compose(a, b)
+    if table.collapse_below is not None and c.height() < table.collapse_below:
+        return table.zero_index
+    return table.index_of(c)
 
 
 def regular_reference(table):
@@ -88,6 +101,34 @@ def test_green_matches_table_reference_without_seed(elements):
     t = build_table(elements(), verify=False)
     for which in "LRHDJ":
         assert green(t, which) == green_reference(t, which), which
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda table, case=c: table(*case), id=_target_id(c))
+     for c in TARGETS if c[0] <= 5]
+    + [pytest.param(
+        lambda table: build_table(enumerate_family(FamilySpec(Family.LS, 4)), verify=False),
+        id="ls-n4",
+    )],
+)
+def test_full_table_matches_compose_reference(table, make):
+    """Every entry of the memoized rows equals the product composed
+    directly, Rees collapse included."""
+    t = make(table)
+    rows = t.full_table()
+    size = len(t)
+    assert len(rows) == size
+    for i, row in enumerate(rows):
+        assert list(row) == [product_reference(t, i, j) for j in range(size)], i
+
+
+def test_full_table_rejects_non_closed():
+    # the empty map is a product of two of the other partial maps of {1,2,3}
+    elements = [a for a in all_partial_maps(3) if a.pairs]
+    t = build_table(elements, verify=False)
+    with pytest.raises(ValueError, match="not closed"):
+        t.full_table()
 
 
 @pytest.mark.parametrize("case", [c for c in TARGETS if c[0] <= 5], ids=_target_id)
