@@ -18,7 +18,7 @@ from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
 
 from .families import generating_set_G, schroeder_small, ss_prime_minimal_generators
-from .pmap import PartialMap, compose
+from .pmap import PartialMap
 
 __all__ = [
     "Zero",
@@ -76,6 +76,7 @@ class SemigroupTable:
     collapse_below: int | None
 
     _index: dict = field(repr=False)
+    _classes: list = field(default=None, repr=False)  # class-compressed rows, lazy
     _rows: list = field(default=None, repr=False)  # full product table, lazy
     _dicts: list = field(default=None, repr=False)  # elements as dicts, lazy
     _gens: list = field(default=None, repr=False)  # generating set, lazy
@@ -93,7 +94,8 @@ class SemigroupTable:
             raise KeyError(f"element {a.encode() if a is not ZERO else '0'} not in table") from None
 
     def product(self, i: int, j: int) -> int:
-        return self.full_table()[i][j]
+        class_of, _, composed = self.class_rows()[i]
+        return composed[class_of[j]]
 
     def _as_dicts(self) -> list:
         """Each element as a dict of its pairs; None for the zero."""
@@ -135,46 +137,61 @@ class SemigroupTable:
             row.append(k)
         return row
 
-    def full_table(self) -> list[array]:
-        """Materialize the whole product table: one ``array('I')`` of
-        product indices per row.
+    def class_rows(self) -> list[tuple[array, list[array], array]]:
+        """The product table, compressed: for each row u, the triple
+        ``(class_of, members, composed)``.
 
         a*b = {(d, b(a(d)))} depends on b only through its restriction to
-        Im a, so each row composes one representative column per class of
-        equal restrictions through :meth:`products` (which checks closure and
-        applies the Rees collapse) and copies that product to the rest of the
-        class.  The classes are shared by the rows of one image and dropped
-        once the table is built.
+        Im a, so the columns fall into classes of equal restriction:
+        ``class_of[j]`` is the class of column j and ``members[c]`` the
+        columns of class c, both shared by the rows of one image.
+        ``composed[c]`` is u times every member of class c, composed once for
+        its first member through :meth:`products`, which checks closure and
+        applies the Rees collapse.  The zero row is one class whose product
+        is the zero.
         """
-        if self._rows is None:
+        if self._classes is None:
             size, zi = len(self), self.zero_index
             by_image: dict = {}
             rows = []
             for i, a in enumerate(self.elements):
                 if i == zi:
-                    rows.append(array("I", [zi]) * size)
+                    everything = [array("I", range(size))]
+                    rows.append((array("I", [0]) * size, everything, array("I", [zi])))
                     continue
                 image = a.image()
                 if image not in by_image:
                     by_image[image] = self._restriction_classes(image)
-                class_of, reps = by_image[image]
-                composed = self.products(i, reps)
-                rows.append(array("I", [composed[c] for c in class_of]))
-            self._rows = rows
-        return self._rows
+                class_of, members, reps = by_image[image]
+                rows.append((class_of, members, array("I", self.products(i, reps))))
+            self._classes = rows
+        return self._classes
 
-    def _restriction_classes(self, image: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    def _restriction_classes(self, image: tuple[int, ...]) -> tuple[array, list[array], list[int]]:
         """Group the columns b by b restricted to ``image``: the class of
-        each column, and the first column of each class.  The zero is a
-        class of its own."""
+        each column, the columns of each class, and the first column of each
+        class.  The zero is a class of its own."""
         ids: dict = {}
-        class_of, reps = [], []
+        class_of = array("I")
+        members: list[list[int]] = []
         for j, bd in enumerate(self._as_dicts()):
             c = ids.setdefault(None if bd is None else tuple(map(bd.get, image)), len(ids))
-            if c == len(reps):
-                reps.append(j)
+            if c == len(members):
+                members.append([])
+            members[c].append(j)
             class_of.append(c)
-        return class_of, reps
+        return class_of, [array("I", m) for m in members], [m[0] for m in members]
+
+    def full_table(self) -> list[array]:
+        """The whole product table, one ``array('I')`` of product indices per
+        row, gathered from :meth:`class_rows`.  It takes |S|^2 entries;
+        only the definitional starred relations read it."""
+        if self._rows is None:
+            self._rows = [
+                array("I", map(composed.__getitem__, class_of))
+                for class_of, _, composed in self.class_rows()
+            ]
+        return self._rows
 
     def right_cayley(self) -> list[list[int]]:
         """right[x] lists x*g for the generators g in ``_gens``, in their
@@ -596,10 +613,7 @@ class AbundanceReport:
 def abundance_report(table: SemigroupTable) -> AbundanceReport:
     """Idempotent census per starred class (characterized fast path, so it
     scales past the definitional guard)."""
-    idem = set()
-    for i, a in enumerate(table.elements):
-        if a is ZERO or compose(a, a) == a:
-            idem.add(i)
+    idem = set(table.idempotent_indices())
     rstar = starred_characterized(table, "Rstar")
     lstar = starred_characterized(table, "Lstar")
     rcounts = tuple(sum(1 for i in cls_ if i in idem) for cls_ in rstar.classes)

@@ -78,15 +78,14 @@ def closure(generators, universe=None) -> set[PartialMap]:
 def closure_indices(table: SemigroupTable, gen_indices) -> set[int]:
     """Subsemigroup generated by the given indices, inside a built table
     (so Rees-quotient products collapse correctly)."""
-    rows = table.full_table()
+    rows = table.class_rows()
     gens = sorted(set(gen_indices))
     seen = set(gens)
     work = list(gens)
     while work:
-        i = work.pop()
-        row = rows[i]
+        class_of, _, composed = rows[work.pop()]
         for g in gens:
-            c = row[g]
+            c = composed[class_of[g]]
             if c not in seen:
                 seen.add(c)
                 work.append(c)
@@ -98,17 +97,17 @@ def essential_elements(table: SemigroupTable) -> set[int]:
 
     Every generating set must contain each of these: in a shortest
     expression of g over generators not containing g, the final product
-    would exhibit forbidden factors.
+    would exhibit forbidden factors.  Read per restriction class of each
+    row (see ``SemigroupTable.class_rows``): the class C of row u with
+    product s factors s as u * b with b != s for some b in C iff s != u and
+    C holds a member other than s.
     """
-    rows = table.full_table()
     size = len(table)
     decomposable = [False] * size
-    for i in range(size):
-        row = rows[i]
-        for j in range(size):
-            c = row[j]
-            if c != i and c != j:
-                decomposable[c] = True
+    for u, (_, members, composed) in enumerate(table.class_rows()):
+        for c, s in enumerate(composed):
+            if s != u and not decomposable[s] and (len(members[c]) > 1 or members[c][0] != s):
+                decomposable[s] = True
     return {i for i in range(size) if not decomposable[i]}
 
 
@@ -145,17 +144,18 @@ def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
     for every s.  A minimum hitting set of these constraints is a sound
     lower bound on the rank.
     """
-    rows = table.full_table()
     size = len(table)
     pred_right: list[set[int]] = [set() for _ in range(size)]
     pred_left: list[set[int]] = [set() for _ in range(size)]
-    for u in range(size):
-        row = rows[u]
-        for g in range(size):
-            s = row[g]
-            if s != u and s != g:
-                pred_right[s].add(g)
-                pred_left[s].add(u)
+    for u, (_, members, composed) in enumerate(table.class_rows()):
+        for c, s in enumerate(composed):
+            if s != u:
+                factors = members[c]
+                # as in essential_elements; s itself may join pred_right[s],
+                # which each constraint holds anyway
+                if len(factors) > 1 or factors[0] != s:
+                    pred_right[s].update(factors)
+                    pred_left[s].add(u)
     out = []
     for s in range(size):
         out.append(frozenset({s}) | frozenset(pred_right[s]))

@@ -126,6 +126,16 @@ def test_green_definitional_agreement(capsys):
     assert "agreement with characterized: True" in out
 
 
+def test_green_definitional_disagreement_fails(capsys):
+    # in RSS'_3(2) the definitional L* merges maps of different images
+    code, out, _ = run(
+        capsys, "green", "--target", "quotient", "--n", "3", "--p", "2",
+        "--relation", "Lstar", "--mode", "definitional",
+    )
+    assert code == 1
+    assert out == "agreement with characterized: False\nclasses: 3\n"
+
+
 def test_green_definitional_guard(capsys):
     code, _, err = run(
         capsys, "green", "--n", "6", "--relation", "Lstar", "--mode", "definitional"
@@ -196,11 +206,22 @@ def test_rank_guard(capsys):
 
 
 def test_rank_guard_table_size(capsys):
-    # SS'(8) has 20793 elements: a table of 20793^2 entries is 1.7 GB
-    code, out, err = run(capsys, "rank", "--n", "8")
+    # the class rows of SS'(9) compose 48,770,265 products, about 12 times
+    # as many as those of SS'(8)
+    code, out, err = run(capsys, "rank", "--n", "9")
     assert code == 3
     assert out == ""
-    assert "432,348,849 entries" in err and "--max-n" in err
+    assert "48,770,265" in err and "--max-n" in err
+
+
+@pytest.mark.long
+def test_rank_n8(capsys):
+    code, out, _ = run(capsys, "rank", "--n", "8", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rank"] == doc["formula"] == 20
+    assert doc["certified"] is True
+    assert doc["status"] == "PASS"
 
 
 def test_rank_output_is_deterministic(capsys):
@@ -228,4 +249,6 @@ def test_verify_all_runs_green_structure_past_rank_limit(capsys):
     assert code == 0
     statuses = dict(line.rsplit(None, 1) for line in out.splitlines()[:-1])
     assert statuses["green structure n=7"] == "PASS"
-    assert statuses["semigroup rank n=7"] == "SKIPPED"
+    for row in ("quotient ranks", "ideal ranks", "semigroup rank"):
+        assert statuses[f"{row} n=7"] == "PASS"
+    assert "idempotent+requisite generation n=7" not in statuses

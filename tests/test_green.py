@@ -18,6 +18,7 @@ from schroeder import (
     starred_characterized,
     starred_definitional,
 )
+from schroeder.families import class_row_products
 from schroeder.green import _scc_partition, regular_indices, target_table
 from schroeder.pmap import all_partial_maps, compose
 
@@ -121,6 +122,12 @@ def test_full_table_matches_compose_reference(table, make):
     assert len(rows) == size
     for i, row in enumerate(rows):
         assert list(row) == [product_reference(t, i, j) for j in range(size)], i
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_class_row_products_counts_the_class_rows(ss, n):
+    t = target_table(ss(n), "ss-prime")
+    assert sum(len(composed) for _, _, composed in t.class_rows()) == class_row_products(n)
 
 
 def test_full_table_rejects_non_closed():

@@ -19,6 +19,79 @@ from schroeder import (
     verify_ss1_witnesses,
     verify_theorem_hq,
 )
+from schroeder.green import build_table, target_table
+from schroeder.pmap import all_partial_maps
+from schroeder.rank import _factor_constraints
+
+
+# -- slow references on the full |S|^2 product table ----------------------
+
+
+def essential_reference(table):
+    """Indices s with no s = u * g where u != s and g != s, entry by entry."""
+    rows = table.full_table()
+    size = len(table)
+    decomposable = [False] * size
+    for u in range(size):
+        for g in range(size):
+            s = rows[u][g]
+            if s != u and s != g:
+                decomposable[s] = True
+    return {i for i in range(size) if not decomposable[i]}
+
+
+def factor_constraints_reference(table):
+    """The last- and first-factor constraints, entry by entry."""
+    rows = table.full_table()
+    size = len(table)
+    pred_right = [set() for _ in range(size)]
+    pred_left = [set() for _ in range(size)]
+    for u in range(size):
+        for g in range(size):
+            s = rows[u][g]
+            if s != u and s != g:
+                pred_right[s].add(g)
+                pred_left[s].add(u)
+    out = []
+    for s in range(size):
+        out.append(frozenset({s}) | frozenset(pred_right[s]))
+        out.append(frozenset({s}) | frozenset(pred_left[s]))
+    return out
+
+
+CLASS_SCAN_TARGETS = [
+    pytest.param(lambda table, n=n: table(n), id=f"ss-prime-n{n}") for n in range(2, 6)
+] + [
+    pytest.param(lambda table, c=(n, p, q): table(*c),
+                 id=f"{'quotient' if q else 'ideal'}-n{n}-p{p}")
+    for n in range(2, 6)
+    for p in range(1, n)
+    for q in (False, True)
+] + [
+    pytest.param(
+        lambda table: build_table(enumerate_family(FamilySpec(Family.LS, 4)), verify=False),
+        id="ls-n4",
+    ),
+    pytest.param(lambda table: build_table(all_partial_maps(3), verify=False),
+                 id="all-partial-maps-n3"),
+]
+
+
+@pytest.mark.parametrize("make", CLASS_SCAN_TARGETS)
+def test_class_scans_match_entry_references(table, make):
+    """The scans per restriction class find the same essentials and the
+    same constraints, in the same order, as the scans per table entry."""
+    t = make(table)
+    assert essential_elements(t) == essential_reference(t)
+    assert _factor_constraints(t) == factor_constraints_reference(t)
+
+
+@pytest.mark.parametrize("target, p", [("ss-prime", None), ("quotient", 2)],
+                         ids=["ss-prime-n6", "quotient-n5-p2"])
+def test_rank_oracle_builds_no_product_table(ss, target, p):
+    t = target_table(ss(6 if p is None else 5), target, p)
+    assert rank_oracle(t).certified
+    assert t._rows is None
 
 
 def test_closure_basics():
