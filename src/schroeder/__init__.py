@@ -23,6 +23,7 @@ from .green import (
     AbundanceReport,
     BinRelation,
     EqPartition,
+    NotClosedError,
     SemigroupTable,
     Zero,
     abundance_report,

@@ -27,6 +27,7 @@ from .families import (
 )
 from .green import (
     ZERO,
+    NotClosedError,
     abundance_report,
     green,
     starred_characterized,
@@ -317,7 +318,7 @@ def _verify_rows(n_max: int, long: bool):
             add(f"quotient ranks n={n}", None)
             add(f"ideal ranks n={n}", None)
             add(f"semigroup rank n={n}", None)
-        if n <= 6:
+        if n <= 7:
             add(f"idempotent+requisite generation n={n}",
                 lambda n=n: verify_theorem_hq(n))
         add(
@@ -420,6 +421,10 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotClosedError as exc:
+        # a set checked lazily (``verify=False``) turned out not closed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         return _fail_usage(str(exc))
 

@@ -18,11 +18,12 @@ from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
 
 from .families import generating_set_G, schroeder_small, ss_prime_minimal_generators
-from .pmap import PartialMap
+from .pmap import PartialMap, _table, _vector, _vector_n
 
 __all__ = [
     "Zero",
     "ZERO",
+    "NotClosedError",
     "SemigroupTable",
     "EqPartition",
     "BinRelation",
@@ -66,9 +67,18 @@ class Zero:
 ZERO = Zero()
 
 
+class NotClosedError(ValueError):
+    """A product of two elements of a table is missing from it."""
+
+
 @dataclass
 class SemigroupTable:
-    """An interned, indexed, composition-closed set of elements."""
+    """An interned, indexed, composition-closed set of elements.
+
+    Each element is interned by its byte vector (see ``pmap``): ``_vectors``
+    holds them by index, None for the zero, and ``_index`` maps a vector,
+    or ZERO, to its index.
+    """
 
     n: int
     elements: list  # PartialMap values, plus ZERO at index 0 when present
@@ -76,9 +86,10 @@ class SemigroupTable:
     collapse_below: int | None
 
     _index: dict = field(repr=False)
+    _vectors: list = field(repr=False)
+    _tables: list = field(default=None, repr=False)  # translate tables, lazy
     _classes: list = field(default=None, repr=False)  # class-compressed rows, lazy
     _rows: list = field(default=None, repr=False)  # full product table, lazy
-    _dicts: list = field(default=None, repr=False)  # elements as dicts, lazy
     _gens: list = field(default=None, repr=False)  # generating set, lazy
     _right: list = field(default=None, repr=False)  # right Cayley graph, lazy
     _left: list = field(default=None, repr=False)  # left Cayley graph, lazy
@@ -87,7 +98,7 @@ class SemigroupTable:
         return len(self.elements)
 
     def index_of(self, a) -> int:
-        key = a if a is ZERO else a.pairs
+        key = a if a is ZERO else _vector(a)
         try:
             return self._index[key]
         except KeyError:
@@ -97,25 +108,26 @@ class SemigroupTable:
         class_of, _, composed = self.class_rows()[i]
         return composed[class_of[j]]
 
-    def _as_dicts(self) -> list:
-        """Each element as a dict of its pairs; None for the zero."""
-        if self._dicts is None:
-            self._dicts = [None if a is ZERO else dict(a.pairs) for a in self.elements]
-        return self._dicts
+    def _translate_tables(self) -> list:
+        """Each element's vector padded to a ``bytes.translate`` table."""
+        if self._tables is None:
+            self._tables = [None if v is None else _table(v) for v in self._vectors]
+        return self._tables
 
     def products(self, i: int, js) -> list[int]:
         """Indices of the products i*j for j in js: a row of the product
-        table, or part of one.  Raises ValueError when a product is missing
-        from the table, i.e. the set is not closed.
+        table, or part of one.  Raises NotClosedError when a product is
+        missing from the table, i.e. the set is not closed.
 
-        Works on raw pair tuples instead of PartialMap values; at ~10^3
-        elements the 10^6 products of a full table stay in the seconds range.
+        Composes byte vectors, one ``bytes.translate`` per product; under a
+        Rees collapse a product of height below ``collapse_below``, that is
+        with at most that many distinct bytes (0 included), is the zero.
         """
         zi = self.zero_index
         if i == zi:
             return [zi] * len(js)
-        dict_of = self._as_dicts()
-        apairs = self.elements[i].pairs
+        tables = self._translate_tables()
+        a = self._vectors[i]
         cut = self.collapse_below
         index = self._index
         row = []
@@ -123,15 +135,14 @@ class SemigroupTable:
             if j == zi:
                 row.append(zi)
                 continue
-            bd = dict_of[j]
-            cpairs = tuple([(d, bd[v]) for d, v in apairs if v in bd])
-            if cut is not None and len({v for _, v in cpairs}) < cut:
+            c = a.translate(tables[j])
+            if cut is not None and len(set(c)) <= cut:
                 row.append(zi)
                 continue
-            k = index.get(cpairs)
+            k = index.get(c)
             if k is None:
                 a, b = self.elements[i], self.elements[j]
-                raise ValueError(
+                raise NotClosedError(
                     f"not closed under composition: {a.encode()} * {b.encode()} is missing"
                 )
             row.append(k)
@@ -154,12 +165,12 @@ class SemigroupTable:
             size, zi = len(self), self.zero_index
             by_image: dict = {}
             rows = []
-            for i, a in enumerate(self.elements):
+            for i, v in enumerate(self._vectors):
                 if i == zi:
                     everything = [array("I", range(size))]
                     rows.append((array("I", [0]) * size, everything, array("I", [zi])))
                     continue
-                image = a.image()
+                image = frozenset(v)
                 if image not in by_image:
                     by_image[image] = self._restriction_classes(image)
                 class_of, members, reps = by_image[image]
@@ -167,15 +178,18 @@ class SemigroupTable:
             self._classes = rows
         return self._classes
 
-    def _restriction_classes(self, image: tuple[int, ...]) -> tuple[array, list[array], list[int]]:
-        """Group the columns b by b restricted to ``image``: the class of
-        each column, the columns of each class, and the first column of each
-        class.  The zero is a class of its own."""
+    def _restriction_classes(self, image: frozenset) -> tuple[array, list[array], list[int]]:
+        """Group the columns b by b restricted to ``image``, the byte values
+        of a row's vector: the class of each column, the columns of each
+        class, and the first column of each class.  The restriction is the
+        vector of e*b, with e the partial identity on the image.  The zero is
+        a class of its own."""
+        e = bytes(x if x in image else 0 for x in range(self.n + 1))
         ids: dict = {}
         class_of = array("I")
         members: list[list[int]] = []
-        for j, bd in enumerate(self._as_dicts()):
-            c = ids.setdefault(None if bd is None else tuple(map(bd.get, image)), len(ids))
+        for j, t in enumerate(self._translate_tables()):
+            c = ids.setdefault(None if t is None else e.translate(t), len(ids))
             if c == len(members):
                 members.append([])
             members[c].append(j)
@@ -225,7 +239,7 @@ def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
         return []
     hint = ss_prime_minimal_generators(n) if top == n - 1 else generating_set_G(n, top)
     index = table._index
-    return sorted(index[a.pairs] for a in hint if a.pairs in index)
+    return sorted(index[v] for v in map(_vector, hint) if v in index)
 
 
 def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
@@ -283,13 +297,12 @@ def build_table(
     elems = sorted(set(elements), key=lambda a: a.encode())
     if not elems:
         raise ValueError("empty element set")
-    n = elems[0].n
-    if any(a.n != n for a in elems):
-        raise ValueError("ambient size mismatch among elements")
+    n = _vector_n(elems)
     if collapse_below is not None:
         adjoin_zero = True
     listing: list = ([ZERO] if adjoin_zero else []) + elems
-    index: dict = {a.pairs: i for i, a in enumerate(elems, start=1 if adjoin_zero else 0)}
+    vectors: list = ([None] if adjoin_zero else []) + [_vector(a) for a in elems]
+    index: dict = {v: i for i, v in enumerate(vectors) if v is not None}
     if adjoin_zero:
         index[ZERO] = 0
     table = SemigroupTable(
@@ -298,6 +311,7 @@ def build_table(
         zero_index=0 if adjoin_zero else None,
         collapse_below=collapse_below,
         _index=index,
+        _vectors=vectors,
     )
     if verify:
         table.right_cayley()  # raises on the first missing product

@@ -24,6 +24,11 @@ from .families import (
 from .green import ZERO, SemigroupTable
 from .pmap import (
     PartialMap,
+    _from_vector,
+    _table,
+    _vector,
+    _vector_closure,
+    _vector_n,
     alpha_i,
     alpha_ik,
     compose,
@@ -53,26 +58,19 @@ __all__ = [
 def closure(generators, universe=None) -> set[PartialMap]:
     """Least composition-closed superset of the generators.
 
-    Worklist BFS over right multiplication by generators (every product
-    g1 g2 ... gk is reached left to right).  ``universe``, when given, is
-    used only for an early exit once everything is reached.
+    Worklist search over right multiplication by generators (every product
+    g1 g2 ... gk is reached left to right), composing byte vectors (see
+    ``pmap``); the generators must share one ambient size n <= 255, else
+    ValueError.  ``universe``, when given, is used only for an early exit
+    once as many elements as it holds are reached, so the result is exact
+    only when the closure lies within ``universe``.
     """
     gens = list(generators)
     if not gens:
         return set()
-    target = None if universe is None else set(universe)
-    seen = set(gens)
-    work = list(seen)
-    while work:
-        if target is not None and len(seen) == len(target):
-            break
-        a = work.pop()
-        for g in gens:
-            c = compose(a, g)
-            if c not in seen:
-                seen.add(c)
-                work.append(c)
-    return seen
+    n = _vector_n(gens)
+    stop_at = None if universe is None else len(set(universe))
+    return {_from_vector(n, v) for v in _vector_closure(map(_vector, gens), stop_at)}
 
 
 def closure_indices(table: SemigroupTable, gen_indices) -> set[int]:
@@ -403,12 +401,13 @@ def verify_ss1_witnesses(n: int) -> bool:
 
 def verify_theorem_hq(n: int) -> bool:
     """Idempotents generate every map avoiding 1 in its image, and together
-    with the requisite elements they generate everything."""
-    ss = set(enumerate_family(FamilySpec(Family.SS_PRIME, n)))
-    idems = {a for a in ss if a.is_idempotent()}
-    avoid1 = {a for a in ss if 1 not in a.image()}
-    gen_idem = closure(idems, universe=ss)
-    if not avoid1 <= gen_idem:
+    with the requisite elements they generate everything.  Closes and
+    compares byte vectors (see ``pmap``); e is idempotent iff e*e == e."""
+    family = enumerate_family(FamilySpec(Family.SS_PRIME, n))
+    ss = [_vector(a) for a in family]
+    idems = [v for v in ss if v.translate(_table(v)) == v]
+    avoid1 = {v for v in ss if 1 not in v}
+    if not avoid1 <= _vector_closure(idems, len(ss)):
         return False
-    reqs = {a for a in ss if is_requisite(a)}
-    return closure(idems | reqs, universe=ss) == ss
+    reqs = [v for a, v in zip(family, ss) if is_requisite(a)]
+    return _vector_closure(idems + reqs, len(ss)) == set(ss)

@@ -224,6 +224,21 @@ def test_rank_n8(capsys):
     assert doc["status"] == "PASS"
 
 
+def test_rank_of_non_closed_set_is_verification_failure(capsys, monkeypatch):
+    """A table built without its closure check fails when a product is
+    missing: exit 1, a verification failure, not exit 2, a usage error."""
+    enumerate_family = schroeder.cli.enumerate_family
+
+    def without_empty_map(spec):
+        return [a for a in enumerate_family(spec) if a.pairs]
+
+    monkeypatch.setattr(schroeder.cli, "enumerate_family", without_empty_map)
+    code, out, err = run(capsys, "rank", "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert "not closed under composition" in err
+
+
 def test_rank_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "rank", "--n", "4", "--format", "json")
     _, out2, _ = run(capsys, "rank", "--n", "4", "--format", "json")
@@ -249,6 +264,6 @@ def test_verify_all_runs_green_structure_past_rank_limit(capsys):
     assert code == 0
     statuses = dict(line.rsplit(None, 1) for line in out.splitlines()[:-1])
     assert statuses["green structure n=7"] == "PASS"
-    for row in ("quotient ranks", "ideal ranks", "semigroup rank"):
+    for row in ("quotient ranks", "ideal ranks", "semigroup rank",
+                "idempotent+requisite generation"):
         assert statuses[f"{row} n=7"] == "PASS"
-    assert "idempotent+requisite generation n=7" not in statuses

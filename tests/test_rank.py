@@ -1,5 +1,10 @@
+import random
+
 import pytest
 
+import schroeder.green
+import schroeder.pmap
+import schroeder.rank
 from schroeder import (
     Family,
     FamilySpec,
@@ -20,7 +25,7 @@ from schroeder import (
     verify_theorem_hq,
 )
 from schroeder.green import build_table, target_table
-from schroeder.pmap import all_partial_maps
+from schroeder.pmap import all_partial_maps, compose
 from schroeder.rank import _factor_constraints
 
 
@@ -100,6 +105,74 @@ def test_closure_basics():
     # a, a^2 = {3->1}, a^3 = empty
     assert got == {a, PartialMap.of(3, {3: 1}), PartialMap.empty(3)}
     assert closure([]) == set()
+
+
+def closure_reference(generators):
+    """Least composition-closed superset, by a search over ``pmap.compose``."""
+    seen = set(generators)
+    work = list(seen)
+    while work:
+        a = work.pop()
+        for g in generators:
+            c = compose(a, g)
+            if c not in seen:
+                seen.add(c)
+                work.append(c)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closure_matches_compose_reference_on_random_maps(n):
+    """Seeded generator sets drawn from every partial map of {1..n}: maps
+    with 1 in the domain, maps that are not isotone, repeated maps."""
+    maps = list(all_partial_maps(n))
+    rng = random.Random(n)
+    drawn = set()
+    for _ in range(40):
+        gens = rng.choices(maps, k=rng.randint(1, 4))
+        drawn.update(gens)
+        expected = closure_reference(gens)
+        assert closure(gens) == expected
+        assert closure(gens, universe=maps) == expected
+    assert any(1 in a.domain() for a in drawn)
+    assert n == 1 or any(not a.is_isotone() for a in drawn)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_closure_matches_compose_reference_on_ss_prime(ss, n):
+    universe = set(ss(n))
+    for gens in (ss_prime_minimal_generators(n), [a for a in ss(n) if a.height() == n - 1]):
+        expected = closure_reference(gens)
+        assert closure(gens) == expected
+        assert closure(gens, universe=universe) == expected
+
+
+def test_closure_rejects_mixed_or_oversized_n():
+    with pytest.raises(ValueError, match="ambient size mismatch"):
+        closure([PartialMap.of(3, {2: 1}), PartialMap.of(4, {2: 1})])
+    with pytest.raises(ValueError, match="n <= 255"):
+        closure([PartialMap.of(256, {2: 1})])
+    assert closure([PartialMap.of(255, {255: 1})]) == {
+        PartialMap.of(255, {255: 1}), PartialMap.empty(255)
+    }
+
+
+def test_hot_paths_do_not_compose_partial_maps(monkeypatch, ss):
+    """closure, verify_theorem_hq and the rank oracle on its product rows
+    compose byte vectors only, never ``pmap.compose``.  The generators are
+    built first: their construction tests idempotents with it."""
+    gens = ss_prime_minimal_generators(5)
+    t = target_table(ss(4), "ss-prime")
+
+    def refuse(a, b):
+        raise AssertionError("pmap.compose reached from a hot path")
+
+    for module in (schroeder.pmap, schroeder.rank, schroeder.green):
+        monkeypatch.setattr(module, "compose", refuse, raising=False)
+    assert len(closure(gens)) == 197
+    assert verify_theorem_hq(4)
+    result = rank_oracle(t)
+    assert result.certified and result.rank == 8
 
 
 def test_closure_indices_respects_quotient(table):
@@ -228,7 +301,7 @@ def test_ss1_witnesses():
 
 
 def test_idempotents_plus_requisites_generate():
-    for n in range(2, 7):
+    for n in range(2, 8):
         assert verify_theorem_hq(n)
 
 
