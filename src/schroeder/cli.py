@@ -44,7 +44,7 @@ from .rank import (
     verify_theorem_hq,
 )
 
-ENUM_GUARD = 12
+ENUM_GUARD = 10  # n=11, 2-vCPU VM: enumerate 54 s / 675 MB, invariants over 60 s
 GREEN_GUARD = 8
 RANK_GUARD = 8
 DEFINITIONAL_GUARD = 5
@@ -288,6 +288,15 @@ def _verify_rows(n_max: int, long: bool):
                 and not rep.left_abundant
             ),
         )
+        for target in ("ideal", "quotient"):
+            add(
+                f"{target} abundance n={n}",
+                lambda ss=ss, target=target: all(
+                    (rep := abundance_report(target_table(ss, target, p))).right_abundant
+                    and not rep.left_abundant
+                    for p in range(1, n)
+                ),
+            )
         add(
             f"green structure n={n}",
             lambda table=table: green(table, "R").is_identity()

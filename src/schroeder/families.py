@@ -71,7 +71,7 @@ def _isotone_decreasing(n: int, domain_pool: tuple[int, ...]) -> Iterator[Partia
     pick a domain, cut it into runs, and choose images left to right subject
     to a_prev < a_i <= min A_i.
     """
-    yield PartialMap.empty(n)
+    yield PartialMap.from_vector(bytes(n + 1))  # the empty map
     for r in range(1, len(domain_pool) + 1):
         for dom in itertools.combinations(domain_pool, r):
             # cut positions between consecutive domain points
@@ -94,10 +94,11 @@ def _fill_images(n: int, blocks: list[tuple[int, ...]]) -> Iterator[PartialMap]:
             yield from rec(i + 1, a + 1, acc + [a])
 
     for images in rec(0, 1, []):
-        # blocks are consecutive slices of an ascending domain
-        yield PartialMap(
-            n, tuple((d, images[i]) for i, block in enumerate(blocks) for d in block)
-        )
+        v = bytearray(n + 1)
+        for value, block in zip(images, blocks):
+            for d in block:
+                v[d] = value
+        yield PartialMap.from_vector(v)
 
 
 def _iter_family(spec: FamilySpec) -> Iterator[PartialMap]:
@@ -108,7 +109,7 @@ def _iter_family(spec: FamilySpec) -> Iterator[PartialMap]:
         yield from _isotone_decreasing(n, tuple(range(1, n + 1)))
     elif spec.kind is Family.SS:
         for a in _isotone_decreasing(n, tuple(range(1, n + 1))):
-            if a.pairs and a.pairs[0][0] == 1:
+            if 1 in a.domain():
                 yield a
     elif spec.kind is Family.IDEAL_K:
         for a in _isotone_decreasing(n, tuple(range(2, n + 1))):

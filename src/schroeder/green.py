@@ -18,7 +18,7 @@ from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
 
 from .families import generating_set_G, schroeder_small, ss_prime_minimal_generators
-from .pmap import PartialMap, _table, _vector, _vector_n
+from .pmap import PartialMap, ambient_size
 
 __all__ = [
     "Zero",
@@ -75,9 +75,8 @@ class NotClosedError(ValueError):
 class SemigroupTable:
     """An interned, indexed, composition-closed set of elements.
 
-    Each element is interned by its byte vector (see ``pmap``): ``_vectors``
-    holds them by index, None for the zero, and ``_index`` maps a vector,
-    or ZERO, to its index.
+    ``_index`` maps each element's byte vector (see ``pmap``), or ZERO, to
+    its index.
     """
 
     n: int
@@ -86,7 +85,6 @@ class SemigroupTable:
     collapse_below: int | None
 
     _index: dict = field(repr=False)
-    _vectors: list = field(repr=False)
     _tables: list = field(default=None, repr=False)  # translate tables, lazy
     _classes: list = field(default=None, repr=False)  # class-compressed rows, lazy
     _rows: list = field(default=None, repr=False)  # full product table, lazy
@@ -98,7 +96,7 @@ class SemigroupTable:
         return len(self.elements)
 
     def index_of(self, a) -> int:
-        key = a if a is ZERO else _vector(a)
+        key = a if a is ZERO else a.vector
         try:
             return self._index[key]
         except KeyError:
@@ -109,9 +107,9 @@ class SemigroupTable:
         return composed[class_of[j]]
 
     def _translate_tables(self) -> list:
-        """Each element's vector padded to a ``bytes.translate`` table."""
+        """Each element's ``bytes.translate`` table, None for the zero."""
         if self._tables is None:
-            self._tables = [None if v is None else _table(v) for v in self._vectors]
+            self._tables = [None if a is ZERO else a.translate_table() for a in self.elements]
         return self._tables
 
     def products(self, i: int, js) -> list[int]:
@@ -127,7 +125,7 @@ class SemigroupTable:
         if i == zi:
             return [zi] * len(js)
         tables = self._translate_tables()
-        a = self._vectors[i]
+        a = self.elements[i].vector
         cut = self.collapse_below
         index = self._index
         row = []
@@ -165,31 +163,31 @@ class SemigroupTable:
             size, zi = len(self), self.zero_index
             by_image: dict = {}
             rows = []
-            for i, v in enumerate(self._vectors):
+            for i, a in enumerate(self.elements):
                 if i == zi:
                     everything = [array("I", range(size))]
                     rows.append((array("I", [0]) * size, everything, array("I", [zi])))
                     continue
-                image = frozenset(v)
+                image = a.image()
                 if image not in by_image:
-                    by_image[image] = self._restriction_classes(image)
+                    by_image[image] = self._restriction_classes(a)
                 class_of, members, reps = by_image[image]
                 rows.append((class_of, members, array("I", self.products(i, reps))))
             self._classes = rows
         return self._classes
 
-    def _restriction_classes(self, image: frozenset) -> tuple[array, list[array], list[int]]:
-        """Group the columns b by b restricted to ``image``, the byte values
-        of a row's vector: the class of each column, the columns of each
-        class, and the first column of each class.  The restriction is the
-        vector of e*b, with e the partial identity on the image.  The zero is
-        a class of its own."""
-        e = bytes(x if x in image else 0 for x in range(self.n + 1))
+    def _restriction_classes(self, a: PartialMap) -> tuple[array, list[array], list[int]]:
+        """Group the columns b by b restricted to Im a: the class of each
+        column, the columns of each class, and the first column of each
+        class.  Each point of Im a is the image of a point, so the vector of
+        a*b, composed without the Rees collapse, determines the restriction
+        and keys the column.  The zero is a class of its own."""
+        v = a.vector
         ids: dict = {}
         class_of = array("I")
         members: list[list[int]] = []
         for j, t in enumerate(self._translate_tables()):
-            c = ids.setdefault(None if t is None else e.translate(t), len(ids))
+            c = ids.setdefault(None if t is None else v.translate(t), len(ids))
             if c == len(members):
                 members.append([])
             members[c].append(j)
@@ -239,7 +237,7 @@ def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
         return []
     hint = ss_prime_minimal_generators(n) if top == n - 1 else generating_set_G(n, top)
     index = table._index
-    return sorted(index[v] for v in map(_vector, hint) if v in index)
+    return sorted(index[a.vector] for a in hint if a.vector in index)
 
 
 def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
@@ -297,21 +295,17 @@ def build_table(
     elems = sorted(set(elements), key=lambda a: a.encode())
     if not elems:
         raise ValueError("empty element set")
-    n = _vector_n(elems)
+    n = ambient_size(elems)
     if collapse_below is not None:
         adjoin_zero = True
     listing: list = ([ZERO] if adjoin_zero else []) + elems
-    vectors: list = ([None] if adjoin_zero else []) + [_vector(a) for a in elems]
-    index: dict = {v: i for i, v in enumerate(vectors) if v is not None}
-    if adjoin_zero:
-        index[ZERO] = 0
+    index = {a if a is ZERO else a.vector: i for i, a in enumerate(listing)}
     table = SemigroupTable(
         n=n,
         elements=listing,
         zero_index=0 if adjoin_zero else None,
         collapse_below=collapse_below,
         _index=index,
-        _vectors=vectors,
     )
     if verify:
         table.right_cayley()  # raises on the first missing product
@@ -542,26 +536,52 @@ def starred_definitional(
 
 
 def starred_characterized(table: SemigroupTable, which: StarName) -> EqPartition:
-    """L*, R*, H*, D* via their structural characterizations on this family:
-    image sets, kernels, equality, and heights respectively.  The zero of a
-    Rees quotient is always its own class."""
-    zero_key = ("zero",)
+    """L*, R*, H*, D* via their structural characterizations on this family.
 
-    def key(i: int):
-        a = table.elements[i]
-        if a is ZERO:
-            return zero_key
-        if which == "Lstar":
-            return ("im", a.image())
-        if which == "Rstar":
-            return ("ker", a.kernel_blocks())
-        if which == "Hstar":
-            return ("eq", a.pairs)
-        if which == "Dstar":
-            return ("h", a.height())
+    On SS'(n) and its ideals K(n,p), L* is equal image, R* equal kernel
+    (``kernel_blocks``), H* = L* & R* and D* equal height.  A map is its
+    kernel blocks paired in order with its image values, so H* there is
+    equality.
+
+    On the Rees quotient RSS'(n,p), S the maps of height p and 0 the zero,
+    R* is still equal kernel and D* still puts all of S in one class, but L*
+    is equal image only for the maps a with 1 not in Im a, and puts every a
+    with 1 in Im a in one class.  The zero is a class of its own in every
+    relation.  Proof: a L* b iff the equivalence x ~ y <=> ax = ay on S^1 is
+    the same for a and b.
+    (i) If 1 is in Im a, then aS = {0}: 1 is in no domain, so the map a*s
+    has height at most |Im a & Dom s| <= p-1 and collapses to 0; and
+    a*1 = a != 0.  So every such a gives the two classes {1} and S.
+    (ii) If 1 is not in Im a, the partial identity e on Im a lies in S and
+    a*e = a = a*1, so 1 ~ e, unlike in (i); and a*e = a != 0 = a*0, while
+    the zero gives one class, S^1.  So the three kinds are never related.
+    (iii) Let 1 not be in I = Im a.  Each point of I is a value of a, so the
+    map a*x (before the collapse) determines x restricted to I, and its
+    height is |x(I & Dom x)|, which depends on I and that restriction only.
+    So if Im b = I as well, ax = ay iff bx = by for all x, y in S^1 (with
+    a*0 = 0 and a*1 = a*e).  Conversely, if a L* b then a*e = a*1 gives
+    b*e = b, so Im b lies in Im a, and both have p points.
+    """
+    if which not in ("Lstar", "Rstar", "Hstar", "Dstar"):
         raise ValueError(f"unknown starred relation {which!r}")
+    quotient = table.collapse_below is not None
 
-    return EqPartition.from_keys([key(i) for i in range(len(table))])
+    def lstar(a: PartialMap):
+        image = a.image()
+        return "aS = 0" if quotient and image[:1] == (1,) else image
+
+    def key(a):
+        if a is ZERO:
+            return ZERO
+        if which == "Lstar":
+            return lstar(a)
+        if which == "Rstar":
+            return a.kernel_blocks()
+        if which == "Hstar":
+            return lstar(a), a.kernel_blocks()
+        return a.height()
+
+    return EqPartition.from_keys([key(a) for a in table.elements])
 
 
 # -- relation algebra ------------------------------------------------------

@@ -2,29 +2,34 @@
 constructions used throughout the package.
 
 A partial transformation is a function from a subset of {1..n} into {1..n}.
-The value type here, :class:`PartialMap`, is immutable and canonical: two
-maps are equal iff they have the same ambient size and the same graph.
-Composition is left-to-right: ``x (a * b) = ((x)a)b``.
+The value type here, :class:`PartialMap`, is immutable and stores only its
+byte vector ``v`` of length n+1: ``v[x]`` is the image of x, or 0 where x is
+undefined, and ``v[0] = 0``; so n <= 255 (``MAX_VECTOR_N``), and the height
+is ``len(set(v)) - 1``.  Composition is left-to-right: ``x (a * b) =
+((x)a)b``.  Padded with zeros to 256 bytes, ``v`` is a ``bytes.translate``
+table, so the vector of a*b is ``va.translate(tb)``, one C call: the one
+composition kernel, behind :func:`compose`, ``a * b``, ``is_idempotent``,
+:func:`closure` and the product rows of ``green.SemigroupTable``.
 
-The hot paths compose with one private kernel instead of :func:`compose`.
-A map becomes a byte vector ``v`` of length n+1: ``v[x]`` is the image of x,
-or 0 where x is undefined, and ``v[0] = 0``.  Padded with zeros to 256
-bytes, ``v`` is also a ``bytes.translate`` table, so the product a*b is
-``va.translate(tb)`` with ``tb`` the padded vector of b, one C call per
-product.  The height of a map is ``len(set(v)) - 1``.  Every value must fit
-in a byte, so the kernel serves n <= 255 (``MAX_VECTOR_N``).
+Maps are checked where they enter (``PartialMap(n, pairs)``, ``of``,
+``empty``, ``from_vector`` and :func:`parse`); a product of valid vectors is
+valid, so the kernel wraps its results unchecked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
+    "MAX_VECTOR_N",
     "PartialMap",
     "KernelView",
+    "ambient_size",
     "compose",
+    "closure",
     "member_ss_prime",
     "pseudo_inverse",
     "requisite",
@@ -38,34 +43,36 @@ __all__ = [
     "parse",
 ]
 
-Pairs = tuple[tuple[int, int], ...]
+MAX_VECTOR_N = 255
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PartialMap:
-    """A partial transformation of {1..n}, stored as a sorted pair list.
+    """A partial transformation of {1..n}, stored as its byte vector.
 
-    ``pairs`` is a tuple of (point, value) with points strictly increasing;
-    the empty tuple is the empty map.  Instances are immutable, hashable and
-    totally ordered by ``(n, encode-key)``.
+    ``PartialMap(n, pairs)`` takes (point, value) pairs with points strictly
+    increasing; the empty tuple gives the empty map.  Instances are
+    immutable, hashable and totally ordered by ``(n, encode())``.
     """
 
-    n: int
-    pairs: Pairs = field(compare=False)
-    # sort key mirroring the canonical text encoding ("-" sorts first)
-    _key: tuple = field(init=False, repr=False)
+    vector: bytes
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ambient size must be >= 1, got {self.n}")
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]) -> None:
+        if n < 1:
+            raise ValueError(f"ambient size must be >= 1, got {n}")
+        if n > MAX_VECTOR_N:
+            raise ValueError(f"a partial map needs n <= {MAX_VECTOR_N}, got n={n}")
+        v = bytearray(n + 1)
         prev = 0
-        for d, v in self.pairs:
-            if not (1 <= d <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"pair {d}:{v} out of range for n={self.n}")
+        for d, x in pairs:
+            if not (1 <= d <= n and 1 <= x <= n):
+                raise ValueError(f"pair {d}:{x} out of range for n={n}")
             if d <= prev:
                 raise ValueError("domain points must be strictly increasing")
             prev = d
-        object.__setattr__(self, "_key", (self.n, self.encode()))
+            v[d] = x
+        object.__setattr__(self, "vector", bytes(v))
 
     @classmethod
     def of(cls, n: int, mapping: Mapping[int, int] | Iterable[tuple[int, int]]) -> "PartialMap":
@@ -76,29 +83,52 @@ class PartialMap:
     def empty(cls, n: int) -> "PartialMap":
         return cls(n, ())
 
+    @classmethod
+    def from_vector(cls, vector: bytes | bytearray) -> "PartialMap":
+        """The map whose byte vector is ``vector`` (see the module)."""
+        v = bytes(vector)
+        if not 2 <= len(v) <= MAX_VECTOR_N + 1 or v[0] or max(v) >= len(v):
+            raise ValueError(f"not the vector of a map of {{1..n}}, n <= {MAX_VECTOR_N}: {v!r}")
+        return _wrap(v)
+
+    def __lt__(self, other):
+        if not isinstance(other, PartialMap):
+            return NotImplemented
+        return (self.n, self.encode()) < (other.n, other.encode())
+
+    def __repr__(self) -> str:
+        return f"PartialMap(n={self.n}, pairs={self.pairs!r})"
+
     # -- basic views ---------------------------------------------------
 
+    @property
+    def n(self) -> int:
+        return len(self.vector) - 1
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:  # points ascending
+        return tuple((d, x) for d, x in enumerate(self.vector) if x)
+
     def __call__(self, x: int) -> int:
-        for d, v in self.pairs:
-            if d == x:
-                return v
+        if 0 < x < len(self.vector) and self.vector[x]:
+            return self.vector[x]
         raise KeyError(f"{x} not in domain")
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
 
     def domain(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.pairs)
+        return tuple(d for d, x in enumerate(self.vector) if x)
 
     def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(v for _, v in self.pairs)))
+        return tuple(sorted(set(self.vector)))[1:]  # v[0] = 0 is no value
 
     def height(self) -> int:
         """h(a) = size of the image."""
-        return len(set(v for _, v in self.pairs))
+        return len(set(self.vector)) - 1
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(d for d, v in self.pairs if d == v)
+        return tuple(d for d, x in enumerate(self.vector) if x == d and x)
 
     def kernel_view(self) -> "KernelView":
         return KernelView.of(self)
@@ -107,30 +137,38 @@ class PartialMap:
         """Blocks of the kernel (same-value classes of the domain), ordered
         by their common value.  Identifies the R*-relevant data of a map."""
         groups: dict[int, list[int]] = {}
-        for d, v in self.pairs:
-            groups.setdefault(v, []).append(d)
-        return tuple(tuple(groups[v]) for v in sorted(groups))
+        for d, x in enumerate(self.vector):
+            if x:
+                groups.setdefault(x, []).append(d)
+        return tuple(tuple(groups[x]) for x in sorted(groups))
 
     # -- predicates ----------------------------------------------------
 
     def is_isotone(self) -> bool:
-        vals = [v for _, v in self.pairs]  # domain already ascending
+        vals = [x for x in self.vector if x]  # in ascending order of points
         return all(x <= y for x, y in zip(vals, vals[1:]))
 
     def is_decreasing(self) -> bool:
-        return all(v <= d for d, v in self.pairs)
+        return all(x <= d for d, x in enumerate(self.vector))
 
     def is_injective(self) -> bool:
-        vals = [v for _, v in self.pairs]
-        return len(set(vals)) == len(vals)
+        v = self.vector
+        return len(set(v)) - 1 == len(v) - v.count(0)
 
     def is_partial_identity(self) -> bool:
-        return all(d == v for d, v in self.pairs)
+        return all(x == d or not x for d, x in enumerate(self.vector))
 
     def is_idempotent(self) -> bool:
-        return compose(self, self) == self
+        v = self.vector
+        return v.translate(_table(v)) == v
 
     # -- algebra -------------------------------------------------------
+
+    def translate_table(self) -> bytes:
+        """The vector padded with zeros to a 256-byte ``bytes.translate``
+        table: ``u.translate(b.translate_table())`` is the vector of the
+        product u*b for any vector u of the same n."""
+        return _table(self.vector)
 
     def __mul__(self, other: "PartialMap") -> "PartialMap":
         return compose(self, other)
@@ -139,12 +177,21 @@ class PartialMap:
 
     def encode(self) -> str:
         """Canonical text form: "-" for the empty map, else "d:v,d:v,..."."""
-        if not self.pairs:
-            return "-"
-        return ",".join(f"{d}:{v}" for d, v in self.pairs)
+        return ",".join([f"{d}:{x}" for d, x in enumerate(self.vector) if x]) or "-"
 
     def __str__(self) -> str:
         return self.encode()
+
+
+def _wrap(v: bytes) -> PartialMap:
+    """The map with vector ``v``, unchecked: for products of valid vectors."""
+    a = object.__new__(PartialMap)
+    object.__setattr__(a, "vector", v)
+    return a
+
+
+def _table(v: bytes) -> bytes:
+    return v + bytes(256 - len(v))
 
 
 @dataclass(frozen=True)
@@ -165,75 +212,53 @@ class KernelView:
         return tuple(min(block) for block, _ in self.blocks)
 
 
-def compose(a: PartialMap, b: PartialMap) -> PartialMap:
-    """Left-to-right composition: x(a b) = ((x)a)b."""
-    if a.n != b.n:
-        raise ValueError(f"ambient size mismatch: {a.n} != {b.n}")
-    bd = dict(b.pairs)
-    return PartialMap(a.n, tuple((d, bd[v]) for d, v in a.pairs if v in bd))
-
-
-# -- the byte-vector kernel ----------------------------------------------
-
-MAX_VECTOR_N = 255
-
-
-def _vector_n(maps: Iterable[PartialMap]) -> int:
-    """The common ambient size of ``maps`` (at least one), checked to fit
-    the byte-vector kernel."""
+def ambient_size(maps: Iterable[PartialMap]) -> int:
+    """The common n of ``maps`` (at least one); ValueError if they differ."""
     sizes = {a.n for a in maps}
     if len(sizes) != 1:
         raise ValueError(f"ambient size mismatch: {sorted(sizes)}")
-    (n,) = sizes
-    if n > MAX_VECTOR_N:
-        raise ValueError(
-            f"byte-vector composition needs n <= {MAX_VECTOR_N}, got n={n}"
-        )
-    return n
+    return sizes.pop()
 
 
-def _vector(a: PartialMap) -> bytes:
-    """The byte vector of a: ``v[x]`` is the image of x, 0 if undefined."""
-    v = bytearray(a.n + 1)
-    for d, x in a.pairs:
-        v[d] = x
-    return bytes(v)
+def compose(a: PartialMap, b: PartialMap) -> PartialMap:
+    """Left-to-right composition: x(a b) = ((x)a)b."""
+    if len(a.vector) != len(b.vector):
+        raise ValueError(f"ambient size mismatch: {a.n} != {b.n}")
+    return _wrap(a.vector.translate(_table(b.vector)))
 
 
-def _table(v: bytes) -> bytes:
-    """``v`` padded with zeros to a 256-byte ``bytes.translate`` table, so
-    that ``u.translate(_table(v))`` is the vector of the product u*v."""
-    return v + bytes(256 - len(v))
-
-
-def _from_vector(n: int, v: bytes) -> PartialMap:
-    return PartialMap(n, tuple((d, x) for d, x in enumerate(v) if x))
-
-
-def _vector_closure(vectors: Iterable[bytes], stop_at: int | None = None) -> set[bytes]:
-    """Vectors of the least composition-closed superset of ``vectors``.
+def closure(generators: Iterable[PartialMap], universe=None) -> set[PartialMap]:
+    """Least composition-closed superset of the generators.
 
     Worklist search over right multiplication by the generators, so every
     product g1 g2 ... gk is reached left to right; each generator's table is
-    built once.  Stops early once ``stop_at`` vectors are reached.
+    built once.  The generators must share one n, else ValueError.
+    ``universe``, when given, is used only for an early exit once as many
+    elements as it holds are reached, so the result is exact only when the
+    closure lies within ``universe``.
     """
-    seen = set(vectors)
+    gens = list(generators)
+    if not gens:
+        return set()
+    ambient_size(gens)
+    stop_at = None if universe is None else len(set(universe))
+    seen = {a.vector for a in gens}
     tables = [_table(v) for v in seen]
     work = list(seen)
     while work and len(seen) != stop_at:
-        a = work.pop()
+        v = work.pop()
         for t in tables:
-            c = a.translate(t)
+            c = v.translate(t)
             if c not in seen:
                 seen.add(c)
                 work.append(c)
-    return seen
+    return set(map(_wrap, seen))
 
 
 def member_ss_prime(a: PartialMap) -> bool:
     """Membership in the small Schroeder semigroup: isotone, order-decreasing,
     and 1 not in the domain.  The empty map is a member."""
-    return a.is_isotone() and a.is_decreasing() and (not a.pairs or a.pairs[0][0] != 1)
+    return not a.vector[1] and a.is_isotone() and a.is_decreasing()
 
 
 def pseudo_inverse(a: PartialMap) -> PartialMap:
@@ -244,7 +269,7 @@ def pseudo_inverse(a: PartialMap) -> PartialMap:
     """
     if not member_ss_prime(a):
         raise ValueError("pseudo-inverse requires an isotone decreasing map avoiding 1")
-    if not a.pairs:
+    if not a.height():
         raise ValueError("pseudo-inverse undefined for empty map")
     return PartialMap.of(a.n, {v: min(block) for block, v in a.kernel_view().blocks})
 
@@ -289,17 +314,14 @@ def requisite_from_image(n: int, image: Iterable[int]) -> PartialMap:
 
 
 def is_requisite(a: PartialMap) -> bool:
-    """True iff a == requisite(n, i, tail) for some valid (i, tail)."""
-    if not a.pairs:
-        return False
-    shift = [d for d, v in a.pairs if v == d - 1]
-    fixed = [d for d, v in a.pairs if v == d]
-    if len(shift) + len(fixed) != len(a.pairs):
-        return False
-    i = len(shift) + 1
-    if shift != list(range(2, i + 1)) or i < 2:
-        return False
-    return not fixed or fixed[0] > i
+    """True iff a == requisite(n, i, tail) for some valid (i, tail): a sends
+    each of 2..i to its predecessor (i >= 2) and fixes the rest of its
+    domain."""
+    v = a.vector
+    i = 1
+    while i < a.n and v[i + 1] == i:
+        i += 1
+    return i >= 2 and not v[1] and all(x in (0, d) for d, x in enumerate(v[i + 1:], i + 1))
 
 
 def alpha_i(n: int, i: int) -> PartialMap:
@@ -362,4 +384,4 @@ def parse(text: str, n: int) -> PartialMap:
 def all_partial_maps(n: int) -> Iterator[PartialMap]:
     """Every partial transformation of {1..n}; (n+1)^n of them.  Test oracle."""
     for vals in itertools.product(range(n + 1), repeat=n):
-        yield PartialMap(n, tuple((d, v) for d, v in enumerate(vals, start=1) if v))
+        yield PartialMap.from_vector(bytes((0, *vals)))

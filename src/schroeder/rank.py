@@ -24,13 +24,9 @@ from .families import (
 from .green import ZERO, SemigroupTable
 from .pmap import (
     PartialMap,
-    _from_vector,
-    _table,
-    _vector,
-    _vector_closure,
-    _vector_n,
     alpha_i,
     alpha_ik,
+    closure,
     compose,
     eps_1k,
     is_requisite,
@@ -53,24 +49,6 @@ __all__ = [
     "verify_ss1_witnesses",
     "verify_theorem_hq",
 ]
-
-
-def closure(generators, universe=None) -> set[PartialMap]:
-    """Least composition-closed superset of the generators.
-
-    Worklist search over right multiplication by generators (every product
-    g1 g2 ... gk is reached left to right), composing byte vectors (see
-    ``pmap``); the generators must share one ambient size n <= 255, else
-    ValueError.  ``universe``, when given, is used only for an early exit
-    once as many elements as it holds are reached, so the result is exact
-    only when the closure lies within ``universe``.
-    """
-    gens = list(generators)
-    if not gens:
-        return set()
-    n = _vector_n(gens)
-    stop_at = None if universe is None else len(set(universe))
-    return {_from_vector(n, v) for v in _vector_closure(map(_vector, gens), stop_at)}
 
 
 def closure_indices(table: SemigroupTable, gen_indices) -> set[int]:
@@ -401,13 +379,12 @@ def verify_ss1_witnesses(n: int) -> bool:
 
 def verify_theorem_hq(n: int) -> bool:
     """Idempotents generate every map avoiding 1 in its image, and together
-    with the requisite elements they generate everything.  Closes and
-    compares byte vectors (see ``pmap``); e is idempotent iff e*e == e."""
-    family = enumerate_family(FamilySpec(Family.SS_PRIME, n))
-    ss = [_vector(a) for a in family]
-    idems = [v for v in ss if v.translate(_table(v)) == v]
-    avoid1 = {v for v in ss if 1 not in v}
-    if not avoid1 <= _vector_closure(idems, len(ss)):
+    with the requisite elements they generate everything; e is idempotent
+    iff e*e == e."""
+    ss = enumerate_family(FamilySpec(Family.SS_PRIME, n))
+    idems = [a for a in ss if a.is_idempotent()]
+    avoid1 = {a for a in ss if 1 not in a.image()}
+    if not avoid1 <= closure(idems, ss):
         return False
-    reqs = [v for a, v in zip(family, ss) if is_requisite(a)]
-    return _vector_closure(idems + reqs, len(ss)) == set(ss)
+    reqs = [a for a in ss if is_requisite(a)]
+    return closure(idems + reqs, ss) == set(ss)

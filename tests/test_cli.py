@@ -6,7 +6,7 @@ import pytest
 
 import schroeder.cli
 import schroeder.families
-from schroeder import Family
+from schroeder import ZERO, EqPartition, Family
 from schroeder.cli import main
 
 
@@ -126,8 +126,13 @@ def test_green_definitional_agreement(capsys):
     assert "agreement with characterized: True" in out
 
 
-def test_green_definitional_disagreement_fails(capsys):
-    # in RSS'_3(2) the definitional L* merges maps of different images
+def test_green_definitional_disagreement_fails(capsys, monkeypatch):
+    # keyed by image alone, the characterized L* of RSS'_3(2) would split
+    # the class of the maps whose image holds 1, which the definition merges
+    def by_image(table, which):
+        return EqPartition.from_keys([a if a is ZERO else a.image() for a in table.elements])
+
+    monkeypatch.setattr(schroeder.cli, "starred_characterized", by_image)
     code, out, _ = run(
         capsys, "green", "--target", "quotient", "--n", "3", "--p", "2",
         "--relation", "Lstar", "--mode", "definitional",
@@ -151,6 +156,17 @@ def test_green_definitional_guard_override(capsys):
     )
     assert code == 0
     assert "agreement with characterized: True" in out
+
+
+@pytest.mark.parametrize("mode, out", [
+    ("characterized", "classes: 3\n"),
+    ("definitional", "agreement with characterized: True\nclasses: 3\n"),
+])
+def test_green_quotient_lstar(capsys, mode, out):
+    code, got, _ = run(capsys, "green", "--target", "quotient", "--n", "3", "--p", "2",
+                       "--relation", "Lstar", "--mode", mode)
+    assert code == 0
+    assert got == out
 
 
 def test_green_quotient_needs_p(capsys):
@@ -267,3 +283,25 @@ def test_verify_all_runs_green_structure_past_rank_limit(capsys):
     for row in ("quotient ranks", "ideal ranks", "semigroup rank",
                 "idempotent+requisite generation"):
         assert statuses[f"{row} n=7"] == "PASS"
+
+
+def test_verify_all_checks_abundance_of_ideals_and_quotients(capsys):
+    code, out, _ = run(capsys, "verify-all", "--n-max", "5")
+    assert code == 0
+    statuses = dict(line.rsplit(None, 1) for line in out.splitlines()[:-1])
+    for n in range(2, 6):
+        assert statuses[f"ideal abundance n={n}"] == "PASS"
+        assert statuses[f"quotient abundance n={n}"] == "PASS"
+
+
+@pytest.mark.parametrize("command", [
+    ("enumerate", "--family", "ss-prime"),
+    ("invariants",),
+])
+def test_enumeration_guard_stops_past_the_measured_frontier(capsys, command):
+    # at n = 11 enumerate needs most of a minute and 680 MB, and invariants
+    # runs past a minute; n = 10 stays allowed
+    code, out, err = run(capsys, *command, "--n", "11")
+    assert code == 3
+    assert out == ""
+    assert "--max-n" in err

@@ -1,6 +1,7 @@
 import importlib
 
 import pytest
+from pmap_reference import compose_reference
 
 from schroeder import (
     ZERO,
@@ -20,7 +21,7 @@ from schroeder import (
 )
 from schroeder.families import class_row_products
 from schroeder.green import _scc_partition, regular_indices, target_table
-from schroeder.pmap import all_partial_maps, compose
+from schroeder.pmap import all_partial_maps
 
 
 # -- slow references on the full |S|^2 product table ----------------------
@@ -47,13 +48,13 @@ def green_reference(table, which):
 
 
 def product_reference(table, i, j):
-    """Index of i*j by composing the maps with ``pmap.compose``, collapsing
-    a product of height below ``collapse_below`` to the zero, and looking
-    the result up; a missing product raises KeyError."""
+    """Index of i*j by composing the maps with ``compose_reference``,
+    collapsing a product of height below ``collapse_below`` to the zero, and
+    looking the result up; a missing product raises KeyError."""
     a, b = table.elements[i], table.elements[j]
     if a is ZERO or b is ZERO:
         return table.zero_index
-    c = compose(a, b)
+    c = compose_reference(a, b)
     if table.collapse_below is not None and c.height() < table.collapse_below:
         return table.zero_index
     return table.index_of(c)
@@ -327,3 +328,68 @@ def test_abundance_witness_has_no_idempotent(table):
     for i in rep.lstar_witness:
         a = t.elements[i]
         assert not a.is_idempotent()
+
+
+# -- starred relations and abundance on ideals and quotients ----------------
+
+
+HEIGHT_TARGETS = [(n, p, quotient) for n in range(2, 7) for p in range(1, n)
+                  for quotient in (False, True)]
+
+
+def join_reference(p, q):
+    """The least equivalence containing both partitions, by union-find."""
+    parent = list(range(len(p.class_id)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for part in (p, q):
+        for members in part.classes:
+            for i in members[1:]:
+                parent[find(i)] = find(members[0])
+    return EqPartition.from_keys([find(i) for i in range(len(parent))])
+
+
+@pytest.mark.parametrize("case", HEIGHT_TARGETS, ids=_target_id)
+def test_starred_characterized_matches_definitional_on_ideals_and_quotients(table, case):
+    """At every (n, p) with n <= 6: the characterized L* and R* are the
+    definitional ones, H* is their intersection and D* their join."""
+    t = table(*case)
+    lstar = starred_definitional(t, "Lstar", max_size=10**9)
+    rstar = starred_definitional(t, "Rstar", max_size=10**9)
+    assert starred_characterized(t, "Lstar") == lstar
+    assert starred_characterized(t, "Rstar") == rstar
+    hstar = EqPartition.from_keys(list(zip(lstar.class_id, rstar.class_id)))
+    assert starred_characterized(t, "Hstar") == hstar
+    assert starred_characterized(t, "Dstar") == join_reference(lstar, rstar)
+
+
+def test_quotient_lstar_merges_the_images_holding_1(table):
+    """In RSS'(3,2), 2:1,3:2 and 2:1,3:3 have different images, yet each
+    sends every element of S to the zero, so they are L*-related."""
+    t = table(3, 2, quotient=True)
+    part = starred_characterized(t, "Lstar")
+    assert part.num_classes() == 3
+    i = t.index_of(PartialMap.of(3, {2: 1, 3: 2}))
+    j = t.index_of(PartialMap.of(3, {2: 1, 3: 3}))
+    assert part.same_class(i, j)
+
+
+@pytest.mark.parametrize("case", [c for c in HEIGHT_TARGETS if c[0] <= 5], ids=_target_id)
+def test_ideals_and_quotients_right_but_not_left_abundant(table, case):
+    """The abundance theorem on K(n,p) and RSS'(n,p) from the definitional
+    relations: every R*-class holds an idempotent, and an L*-class holds
+    none, the witness that ``abundance_report`` names."""
+    t = table(*case)
+    idempotents = set(t.idempotent_indices())
+    rstar = starred_definitional(t, "Rstar", max_size=10**9)
+    lstar = starred_definitional(t, "Lstar", max_size=10**9)
+    assert all(idempotents & set(members) for members in rstar.classes)
+    witnesses = [members for members in lstar.classes if not idempotents & set(members)]
+    assert witnesses
+    rep = abundance_report(t)
+    assert rep.right_abundant and not rep.left_abundant
+    assert rep.lstar_witness == witnesses[0]

@@ -1,9 +1,11 @@
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pmap_reference import compose_reference
 
 from schroeder import (
     Family,
@@ -23,7 +25,7 @@ from schroeder import (
     requisite_from_image,
     shift_embed,
 )
-from schroeder.pmap import all_partial_maps
+from schroeder.pmap import MAX_VECTOR_N, all_partial_maps
 
 
 def test_construction_and_views():
@@ -229,3 +231,76 @@ def test_fixed_points_of_products():
         expected = set(a.fixed_points()) & set(b.fixed_points())
         assert set((a * b).fixed_points()) == expected
         assert set((b * a).fixed_points()) == expected
+
+
+# -- the byte vector and its kernel ----------------------------------------
+
+
+def test_vector_is_the_only_stored_form():
+    a = PartialMap.of(4, {2: 1, 4: 3})
+    assert PartialMap.__slots__ == ("vector",)
+    assert a.vector == bytes([0, 0, 1, 0, 3])
+    assert a.n == 4 and a.pairs == ((2, 1), (4, 3))
+    assert PartialMap.from_vector(a.vector) == a
+    assert hash(PartialMap.from_vector(a.vector)) == hash(a)
+    assert PartialMap.empty(3).vector == bytes(4)
+    with pytest.raises(AttributeError):
+        a.vector = bytes(5)
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_from_vector_validation():
+    for bad in (b"", b"\x00", b"\x01\x00", b"\x00\x02", bytes(MAX_VECTOR_N + 2)):
+        with pytest.raises(ValueError):
+            PartialMap.from_vector(bad)
+    assert PartialMap.from_vector(bytearray([0, 1])) == PartialMap.of(1, {1: 1})
+
+
+def test_size_limit_names_it():
+    assert PartialMap.of(MAX_VECTOR_N, {MAX_VECTOR_N: 1}).n == 255
+    for build in (lambda: PartialMap(256, ()), lambda: PartialMap.empty(256),
+                  lambda: PartialMap.of(256, {2: 1}), lambda: parse("2:1", 256)):
+        with pytest.raises(ValueError, match="n <= 255"):
+            build()
+
+
+def test_order_mixes_n_then_text():
+    maps = [PartialMap.of(3, {3: 1}), PartialMap.empty(4), PartialMap.of(3, {2: 2}),
+            PartialMap.empty(3), PartialMap.of(3, {2: 1, 3: 3})]
+    assert [(a.n, a.encode()) for a in sorted(maps)] == sorted((a.n, a.encode()) for a in maps)
+    assert PartialMap.empty(3) < PartialMap.of(3, {2: 1}) <= PartialMap.of(3, {2: 1})
+
+
+def test_compose_matches_reference_on_all_partial_maps_n3():
+    maps = list(all_partial_maps(3))
+    assert len(maps) == 64
+    for a, b in itertools.product(maps, repeat=2):
+        c = compose_reference(a, b)
+        assert compose(a, b) == c and a * b == c
+        assert compose(a, b).pairs == c.pairs
+    for a in maps:
+        assert a.is_idempotent() == (compose_reference(a, a) == a)
+
+
+def test_compose_matches_reference_on_random_maps_n8():
+    rng = random.Random(8)
+    n = 8
+
+    def random_map():
+        return PartialMap.of(n, {d: rng.randint(1, n) for d in range(1, n + 1) if rng.random() < 0.7})
+
+    for _ in range(2000):
+        a, b = random_map(), random_map()
+        assert compose(a, b) == compose_reference(a, b)
+        assert a.is_idempotent() == (compose_reference(a, a) == a)
+
+
+def test_is_requisite_exactly_the_requisite_shapes():
+    for n in range(1, 5):
+        shapes = {
+            requisite(n, i, tail)
+            for i in range(2, n + 1)
+            for r in range(n - i + 1)
+            for tail in itertools.combinations(range(i + 1, n + 1), r)
+        }
+        assert {a for a in all_partial_maps(n) if is_requisite(a)} == shapes

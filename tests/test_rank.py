@@ -1,10 +1,8 @@
 import random
 
 import pytest
+from pmap_reference import compose_reference
 
-import schroeder.green
-import schroeder.pmap
-import schroeder.rank
 from schroeder import (
     Family,
     FamilySpec,
@@ -25,7 +23,7 @@ from schroeder import (
     verify_theorem_hq,
 )
 from schroeder.green import build_table, target_table
-from schroeder.pmap import all_partial_maps, compose
+from schroeder.pmap import all_partial_maps
 from schroeder.rank import _factor_constraints
 
 
@@ -108,13 +106,14 @@ def test_closure_basics():
 
 
 def closure_reference(generators):
-    """Least composition-closed superset, by a search over ``pmap.compose``."""
+    """Least composition-closed superset, by a search over the pair-by-pair
+    ``compose_reference``."""
     seen = set(generators)
     work = list(seen)
     while work:
         a = work.pop()
         for g in generators:
-            c = compose(a, g)
+            c = compose_reference(a, g)
             if c not in seen:
                 seen.add(c)
                 work.append(c)
@@ -158,21 +157,32 @@ def test_closure_rejects_mixed_or_oversized_n():
 
 
 def test_hot_paths_do_not_compose_partial_maps(monkeypatch, ss):
-    """closure, verify_theorem_hq and the rank oracle on its product rows
-    compose byte vectors only, never ``pmap.compose``.  The generators are
-    built first: their construction tests idempotents with it."""
+    """closure, verify_theorem_hq and the rank oracle compose byte vectors
+    and wrap the products unchecked: none of them reaches the validating
+    constructor ``PartialMap(n, pairs)``, and only the enumeration of SS'(4)
+    in verify_theorem_hq builds maps from vectors, one per element.  The
+    generators and the table are built first, with that constructor."""
     gens = ss_prime_minimal_generators(5)
     t = target_table(ss(4), "ss-prime")
+    from_vector = PartialMap.from_vector.__func__
+    built = []
 
-    def refuse(a, b):
-        raise AssertionError("pmap.compose reached from a hot path")
+    def refuse(self, n, pairs):
+        raise AssertionError("validating constructor reached from a hot path")
 
-    for module in (schroeder.pmap, schroeder.rank, schroeder.green):
-        monkeypatch.setattr(module, "compose", refuse, raising=False)
+    def counted(cls, vector):
+        built.append(vector)
+        return from_vector(cls, vector)
+
+    monkeypatch.setattr(PartialMap, "__init__", refuse)
+    monkeypatch.setattr(PartialMap, "from_vector", classmethod(counted))
     assert len(closure(gens)) == 197
+    assert not built
     assert verify_theorem_hq(4)
+    assert len(built) == len(ss(4))
     result = rank_oracle(t)
     assert result.certified and result.rank == 8
+    assert len(built) == len(ss(4))
 
 
 def test_closure_indices_respects_quotient(table):
