@@ -45,7 +45,11 @@ from .rank import (
 )
 
 ENUM_GUARD = 10  # n=11, 2-vCPU VM: enumerate 54 s / 675 MB, invariants over 60 s
-GREEN_GUARD = 8
+# classical relations at n=10, 2-vCPU VM: L/R/H/D/J take 24-34 s and under 800 MB
+GREEN_GUARD = 10
+# ideals and quotients seed their Cayley graphs with G(n,p), hundreds of
+# generators: the D-classes of ideal (9,3) take 1035 MB
+GREEN_IDEAL_GUARD = 8
 RANK_GUARD = 8
 DEFINITIONAL_GUARD = 5
 
@@ -159,19 +163,16 @@ def cmd_green(args) -> int:
     if args.mode == "definitional" and args.relation not in ("Lstar", "Rstar"):
         return _fail_usage("definitional mode exists only for Lstar and Rstar")
     if args.mode == "definitional":
-        guard = args.max_n if args.max_n is not None else DEFINITIONAL_GUARD
-        if args.n > guard:
-            return _fail_guard(
-                f"definitional mode guarded at n={guard}; "
-                "use --mode characterized or raise --max-n"
-            )
+        default, why = DEFINITIONAL_GUARD, "; use --mode characterized or raise --max-n"
     elif classical:
-        guard = args.max_n if args.max_n is not None else GREEN_GUARD
-        if args.n > guard:
-            return _fail_guard(
-                f"classical relations guarded at n={guard}: their Cayley graphs "
-                f"take |S| x |generators| products (raise --max-n)"
-            )
+        default = GREEN_GUARD if args.target == "ss-prime" else GREEN_IDEAL_GUARD
+        why = ": their Cayley graphs take |S| x |generators| products (raise --max-n)"
+    else:
+        default, why = ENUM_GUARD, ": it enumerates SS'(n) and groups it (raise --max-n)"
+    guard = args.max_n if args.max_n is not None else default
+    if args.n > guard:
+        mode = "classical relations" if classical else f"{args.mode} mode"
+        return _fail_guard(f"{mode} guarded at n={guard}{why}")
     try:
         table = target_table(
             enumerate_family(FamilySpec(Family.SS_PRIME, args.n)), args.target, args.p

@@ -134,9 +134,9 @@ def _iter_family(spec: FamilySpec) -> Iterator[PartialMap]:
 
 
 def enumerate_family(spec: FamilySpec) -> list[PartialMap]:
-    """All members of the family, sorted by canonical text encoding."""
-    out = sorted(set(_iter_family(spec)), key=lambda a: a.encode())
-    return out
+    """All members of the family, sorted by canonical text encoding
+    (``_iter_family`` yields each member once)."""
+    return sorted(_iter_family(spec), key=lambda a: a.encode())
 
 
 # -- counting formulas ---------------------------------------------------

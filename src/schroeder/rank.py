@@ -4,14 +4,16 @@ semigroup, its two-sided ideals K(n,p), and their Rees quotients.
 The rank oracle is independent of the closed-form results it checks: it
 collects the *essential* elements (those admitting no factorization avoiding
 themselves, hence forced into every generating set), verifies that they
-generate, and only then certifies the minimum.
+generate, and only then certifies the minimum.  When they do not generate,
+it bounds the rank below by the essentials plus a count of pairwise disjoint
+factor constraints, and certifies one generator per constraint only when
+that set meets the bound and generates.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from .families import (
     Family,
@@ -117,8 +119,8 @@ def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
     must meet both
         {s} | {g != s : exists u != s with u g = s}   (last factor)
         {s} | {g != s : exists v != s with g v = s}   (first factor)
-    for every s.  A minimum hitting set of these constraints is a sound
-    lower bound on the rank.
+    for every s.  Any set of pairwise disjoint constraints avoiding the
+    essentials therefore adds its count to a sound lower bound on the rank.
     """
     size = len(table)
     pred_right: list[set[int]] = [set() for _ in range(size)]
@@ -160,74 +162,18 @@ def _minimal_constraints(constraints: list[frozenset]) -> list[frozenset]:
     return minimal
 
 
-def _min_hitting_size(minimal: list[frozenset], budget: int) -> tuple[int, bool]:
-    """Exact minimum hitting set size by branch and bound (least-candidates
-    pivot, disjoint-packing bound).  Returns (optimum, complete); when the
-    node budget runs out ``optimum`` is only the best size found so far."""
-    if not minimal:
-        return 0, True
-    best = len(set().union(*minimal))  # one hitter per constraint always works
-    nodes = 0
-    complete = True
-
-    def rec(chosen: set[int]) -> None:
-        nonlocal best, nodes, complete
-        nodes += 1
-        if nodes > budget:
-            complete = False
-            return
-        open_cs = [c for c in minimal if not (c & chosen)]
-        if not open_cs:
-            best = min(best, len(chosen))
-            return
-        if len(chosen) + _disjoint_packing(open_cs) >= best:
-            return
-        for g in sorted(min(open_cs, key=len)):
-            chosen.add(g)
-            rec(chosen)
-            chosen.discard(g)
-
-    rec(set())
-    return best, complete
-
-
-def _constraint_components(minimal: list[frozenset]) -> list[list[frozenset]]:
-    """Group constraints into connected components under shared candidates."""
-    parent = list(range(len(minimal)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_seen: dict[int, int] = {}
-    for i, c in enumerate(minimal):
-        for g in c:
-            if g in first_seen:
-                parent[find(i)] = find(first_seen[g])
-            else:
-                first_seen[g] = i
-    comps: dict[int, list[frozenset]] = {}
-    for i, c in enumerate(minimal):
-        comps.setdefault(find(i), []).append(c)
-    return list(comps.values())
-
-
-def rank_oracle(
-    table: SemigroupTable,
-    hint: Iterable[PartialMap] | None = None,
-    budget: int = 200_000,
-) -> RankResult:
+def rank_oracle(table: SemigroupTable) -> RankResult:
     """Minimum size of a generating set, certified when possible.
 
     Strategy: essential elements (no factorization avoiding themselves) are
     forced into every generating set; when they generate, the rank is their
-    count.  Otherwise the exact minimum hitting set over the first/last
-    factor constraints is a sound lower bound, and the oracle certifies as
-    soon as it verifies some generating set of exactly that size (built one
-    candidate per constraint component, or supplied as ``hint``).  When
-    nothing matches the bound the result is honestly uncertified.
+    count.  Otherwise the first/last factor constraints that avoid the
+    essentials each need a generator outside them, so the essentials plus a
+    greedy count of pairwise disjoint minimal constraints is a sound lower
+    bound.  The candidate is the essentials plus the least index of each
+    minimal constraint; it is certified when its size meets the bound and it
+    generates the table.  Otherwise the result is honestly uncertified and
+    ``notes`` carries the bound.
     """
     size = len(table)
     essential = essential_elements(table)
@@ -241,53 +187,21 @@ def rank_oracle(
     minimal = _minimal_constraints(
         [c for c in _factor_constraints(table) if not (c & essential)]
     )
-    extra_opt, complete = _min_hitting_size(minimal, budget)
-    lower = len(essential) + extra_opt
-    certifiable = complete
-
-    candidates: list[set[int]] = []
-    if hint is not None:
-        candidates.append({table.index_of(a) for a in hint})
-    components = _constraint_components(minimal)
-    if len(components) == extra_opt:
-        # one extra generator per component; pick the first that, on top of
-        # the essentials, reaches everything its component's constraints
-        # came from (verified globally afterwards)
-        base = closure_indices(table, essential) if essential else set()
-        picks: set[int] = set()
-        for comp in components:
-            pool = sorted(set().union(*comp))
-            targets = {s for c in comp for s in c} - base
-            for g in pool:
-                reached = closure_indices(table, essential | picks | {g})
-                if targets <= reached:
-                    picks.add(g)
-                    break
-            else:
-                picks.add(pool[0])
-        candidates.append(set(essential) | picks)
-
-    for cand in candidates:
-        if len(cand) == lower and len(closure_indices(table, cand)) == size:
-            return RankResult(
-                rank=lower if certifiable else None,
-                essential=frozenset(essential),
-                certified=certifiable,
-                generating_set=tuple(sorted(cand)),
-                notes="" if certifiable else (
-                    f"generating set of size {len(cand)} found but the "
-                    "lower-bound search hit its node budget"
-                ),
-            )
+    lower = len(essential) + _disjoint_packing(minimal)
+    candidate = essential | {min(c) for c in minimal}
+    if len(candidate) == lower and len(closure_indices(table, candidate)) == size:
+        return RankResult(
+            rank=lower,
+            essential=frozenset(essential),
+            certified=True,
+            generating_set=tuple(sorted(candidate)),
+        )
     return RankResult(
         rank=None,
         essential=frozenset(essential),
         certified=False,
         generating_set=(),
-        notes=(
-            f"lower bound {lower} (hitting-set{'' if complete else ', budget-limited'}); "
-            "no generating set of that size found"
-        ),
+        notes=f"lower bound {lower} (disjoint constraints); no generating set of that size found",
     )
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,30 @@ def test_green_definitional_guard(capsys):
     assert "characterized" in err
 
 
+def test_green_characterized_starred_guard(capsys):
+    # the characterized mode enumerates SS'(n): at n = 11 the L* classes
+    # take 58 s and 830 MB
+    code, out, err = run(capsys, "green", "--relation", "Lstar", "--n", "11")
+    assert code == 3
+    assert out == ""
+    assert "characterized mode guarded at n=10" in err
+
+
+@pytest.mark.parametrize("target", ["ss-prime", "ideal", "quotient"])
+def test_green_classical_guard(capsys, target):
+    # ideals and quotients seed their Cayley graphs with G(n,p), so their
+    # default stops lower
+    if target == "ss-prime":
+        n, height = schroeder.cli.GREEN_GUARD, ()
+    else:
+        n, height = schroeder.cli.GREEN_IDEAL_GUARD, ("--p", "3")
+    code, out, err = run(capsys, "green", "--target", target, *height,
+                         "--relation", "L", "--n", str(n + 1))
+    assert code == 3
+    assert out == ""
+    assert f"classical relations guarded at n={n}: their Cayley graphs" in err
+
+
 def test_green_definitional_guard_override(capsys):
     code, out, _ = run(
         capsys, "green", "--n", "6", "--relation", "Rstar", "--mode", "definitional",
@@ -259,6 +284,23 @@ def test_rank_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "rank", "--n", "4", "--format", "json")
     _, out2, _ = run(capsys, "rank", "--n", "4", "--format", "json")
     assert out1 == out2
+
+
+RANK_GOLDEN = (Path(__file__).parent / "golden" / "rank_json_n5.jsonl").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "line", RANK_GOLDEN,
+    ids=[f"{d['target']}-p{d['p']}" for d in map(json.loads, RANK_GOLDEN)],
+)
+def test_rank_json_matches_golden(capsys, line):
+    """``rank --format json`` on every quotient and ideal of SS'(5) prints
+    exactly the recorded line, generating set and notes included."""
+    doc = json.loads(line)
+    code, out, _ = run(capsys, "rank", "--target", doc["target"], "--n", "5",
+                       "--p", str(doc["p"]), "--format", "json")
+    assert code == 0
+    assert out == line + "\n"
 
 
 def test_verify_all(capsys):

@@ -39,12 +39,19 @@ def test_enumeration_against_brute_force():
         assert enumerate_family(FamilySpec(Family.SS_PRIME, n)) == brute
 
 
-def test_enumeration_is_sorted_and_duplicate_free():
-    for n in (3, 4, 5):
-        elems = enumerate_family(FamilySpec(Family.SS_PRIME, n))
-        codes = [a.encode() for a in elems]
-        assert codes == sorted(codes)
-        assert len(set(codes)) == len(codes)
+@pytest.mark.parametrize("kind", list(Family))
+def test_enumeration_is_sorted_and_duplicate_free(kind):
+    """``enumerate_family`` sorts without deduplicating, so the family
+    generator itself must never repeat a map."""
+    needs_p = kind in (Family.IDEAL_K, Family.JSTAR_SLICE, Family.REQUISITE)
+    for n in range(2, 8):
+        heights = list(range(n)) if needs_p or kind is Family.IDEMPOTENTS else []
+        if not needs_p:
+            heights.append(None)
+        for p in heights:
+            codes = [a.encode() for a in enumerate_family(FamilySpec(kind, n, p))]
+            assert codes == sorted(codes), (kind, n, p)
+            assert len(set(codes)) == len(codes), (kind, n, p)
 
 
 def test_small_family_listing():

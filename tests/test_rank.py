@@ -24,7 +24,7 @@ from schroeder import (
 )
 from schroeder.green import build_table, target_table
 from schroeder.pmap import all_partial_maps
-from schroeder.rank import _factor_constraints
+from schroeder.rank import _factor_constraints, _minimal_constraints
 
 
 # -- slow references on the full |S|^2 product table ----------------------
@@ -227,11 +227,33 @@ def test_rank_oracle_certifies_ideals(table):
             assert r.rank == formula_rank_ideal(n, p)
 
 
-def test_rank_oracle_budget_exhaustion_is_honest(table):
-    r = rank_oracle(table(5, 2, quotient=True), budget=1)
-    assert not r.certified
-    assert r.rank is None or r.rank == formula_rank_quotient(5, 2)
-    assert "budget" in r.notes
+def test_rank_oracle_is_honest_when_constraints_overlap():
+    """On all partial maps of {1,2,3} no element is essential and the
+    factor constraints overlap: one pick per constraint does not meet the
+    disjoint-constraint bound, so nothing is certified."""
+    r = rank_oracle(build_table(all_partial_maps(3), verify=False))
+    assert r.certified is False
+    assert r.rank is None
+    assert r.generating_set == ()
+    assert "lower bound 3" in r.notes
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_minimal_constraints_are_pairwise_disjoint(table, n):
+    """The oracle's certificate is complete on the paper's targets because
+    the minimal constraints left after the essentials never share an
+    element: the disjoint count is then the minimum hitting set."""
+    counts = []
+    for p in range(1, n):
+        for quotient in (False, True):
+            t = table(n, p, quotient)
+            essential = essential_elements(t)
+            minimal = _minimal_constraints(
+                [c for c in _factor_constraints(t) if not (c & essential)]
+            )
+            assert sum(map(len, minimal)) == len(frozenset().union(*minimal))
+            counts.append(len(minimal))
+    assert n < 4 or max(counts) > 1  # from n=4 on there is something to overlap
 
 
 def test_quotient_rank_formula_values():
