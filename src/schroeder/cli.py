@@ -26,7 +26,6 @@ from .families import (
     schroeder_small,
 )
 from .green import (
-    ZERO,
     NotClosedError,
     abundance_report,
     green,
@@ -51,6 +50,8 @@ GREEN_GUARD = 10
 # generators: the D-classes of ideal (9,3) take 1035 MB
 GREEN_IDEAL_GUARD = 8
 RANK_GUARD = 8
+# ideal (8,4), 2-vCPU VM: 44 s and 1.7 GB; (8,5) and (8,6) peak at 2.5-2.7 GB
+RANK_IDEAL_GUARD = 7
 DEFINITIONAL_GUARD = 5
 
 EXIT_OK = 0
@@ -168,15 +169,13 @@ def cmd_green(args) -> int:
         default = GREEN_GUARD if args.target == "ss-prime" else GREEN_IDEAL_GUARD
         why = ": their Cayley graphs take |S| x |generators| products (raise --max-n)"
     else:
-        default, why = ENUM_GUARD, ": it enumerates SS'(n) and groups it (raise --max-n)"
+        default, why = ENUM_GUARD, ": it enumerates the target and groups it (raise --max-n)"
     guard = args.max_n if args.max_n is not None else default
     if args.n > guard:
         mode = "classical relations" if classical else f"{args.mode} mode"
         return _fail_guard(f"{mode} guarded at n={guard}{why}")
     try:
-        table = target_table(
-            enumerate_family(FamilySpec(Family.SS_PRIME, args.n)), args.target, args.p
-        )
+        table = target_table(args.n, args.target, args.p)
     except ValueError as exc:
         return _fail_usage(str(exc))
     agrees = True
@@ -198,7 +197,9 @@ def cmd_green(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    guard = args.max_n if args.max_n is not None else RANK_GUARD
+    ideal = args.target == "ideal"
+    default = RANK_IDEAL_GUARD if ideal else RANK_GUARD
+    guard = args.max_n if args.max_n is not None else default
     if args.n > guard:
         # counted at the first n past the guard: the count only grows with n,
         # and counting at a huge refused n would stall
@@ -206,12 +207,12 @@ def cmd_rank(args) -> int:
         return _fail_guard(
             f"rank computation guarded at n={guard}: its class-compressed product "
             f"rows compose one product per restriction class of each row, "
-            f"{products:,} of them for SS'({guard + 1}) (raise --max-n)"
+            f"{products:,} of them for SS'({guard + 1})"
+            + ("; the factor constraints of ideals at n=8 take up to 2.7 GB" if ideal else "")
+            + " (raise --max-n)"
         )
     try:
-        table = target_table(
-            enumerate_family(FamilySpec(Family.SS_PRIME, args.n)), args.target, args.p
-        )
+        table = target_table(args.n, args.target, args.p)
     except ValueError as exc:
         return _fail_usage(str(exc))
     result = rank_oracle(table)
@@ -236,10 +237,7 @@ def cmd_rank(args) -> int:
         "formula": formula,
         "certified": result.certified,
         "status": status,
-        "generating_set": sorted(
-            "0" if table.elements[i] is ZERO else table.elements[i].encode()
-            for i in result.generating_set
-        ),
+        "generating_set": sorted(table.elements[i].encode() for i in result.generating_set),
         "notes": result.notes,
     }
     if args.format == "json":
@@ -270,7 +268,8 @@ def _verify_rows(n_max: int, long: bool):
                      "runtime_ms": round((time.perf_counter() - t0) * 1000, 3)})
 
     for n in range(2, n_max + 1):
-        ss = enumerate_family(FamilySpec(Family.SS_PRIME, n))
+        table = target_table(n, "ss-prime")
+        ss = table.elements
         counts = census(ss)
         add(f"order n={n}", len(ss) == schroeder_small(n))
         add(f"idempotents n={n}",
@@ -280,7 +279,6 @@ def _verify_rows(n_max: int, long: bool):
             all(counts.kernels[p] == formula_rstar_classes(n, p) for p in range(n))
             and all(counts.images[p] == binom(n, p) for p in range(1, n)),
         )
-        table = target_table(ss, "ss-prime")
         add(
             f"abundance n={n}",
             lambda table=table: (
@@ -292,8 +290,8 @@ def _verify_rows(n_max: int, long: bool):
         for target in ("ideal", "quotient"):
             add(
                 f"{target} abundance n={n}",
-                lambda ss=ss, target=target: all(
-                    (rep := abundance_report(target_table(ss, target, p))).right_abundant
+                lambda n=n, target=target: all(
+                    (rep := abundance_report(target_table(n, target, p))).right_abundant
                     and not rep.left_abundant
                     for p in range(1, n)
                 ),
@@ -307,8 +305,8 @@ def _verify_rows(n_max: int, long: bool):
         if n <= 7:
             add(
                 f"quotient ranks n={n}",
-                lambda n=n, ss=ss: all(
-                    rank_oracle(target_table(ss, "quotient", p)).rank
+                lambda n=n: all(
+                    rank_oracle(target_table(n, "quotient", p)).rank
                     == formula_rank_quotient(n, p)
                     for p in range(1, n)
                 ),
@@ -316,8 +314,8 @@ def _verify_rows(n_max: int, long: bool):
             if n >= 3:
                 add(
                     f"ideal ranks n={n}",
-                    lambda n=n, ss=ss: all(
-                        rank_oracle(target_table(ss, "ideal", p)).rank
+                    lambda n=n: all(
+                        rank_oracle(target_table(n, "ideal", p)).rank
                         == formula_rank_ideal(n, p)
                         for p in range(1, n - 1)
                     ),

@@ -64,23 +64,32 @@ class FamilySpec:
             raise ValueError(f"need 0 <= p <= n-1, got p={self.p}, n={self.n}")
 
 
-def _isotone_decreasing(n: int, domain_pool: tuple[int, ...]) -> Iterator[PartialMap]:
-    """All isotone order-decreasing maps whose domain is a subset of the pool.
+def _isotone_decreasing(
+    n: int, domain_pool: tuple[int, ...], heights: Sequence[int]
+) -> Iterator[PartialMap]:
+    """The isotone order-decreasing maps of the given heights whose domain
+    is a subset of the pool.
 
-    Kernel classes of an isotone map are consecutive runs of the domain, so we
-    pick a domain, cut it into runs, and choose images left to right subject
-    to a_prev < a_i <= min A_i.
+    Kernel classes of an isotone map are consecutive runs of the domain, so
+    we pick a domain, cut it into h runs for each asked height h, and choose
+    images left to right subject to a_prev < a_i <= min A_i.  Maps come by
+    domain size, then domain, then height ascending.
     """
-    yield PartialMap.from_vector(bytes(n + 1))  # the empty map
-    for r in range(1, len(domain_pool) + 1):
+    if 0 in heights:
+        yield PartialMap.from_vector(bytes(n + 1))  # the empty map
+    block_counts = sorted(set(heights) - {0})
+    if not block_counts:
+        return
+    for r in range(block_counts[0], len(domain_pool) + 1):
         for dom in itertools.combinations(domain_pool, r):
-            # cut positions between consecutive domain points
-            for cuts in itertools.chain.from_iterable(
-                itertools.combinations(range(1, r), k) for k in range(r)
-            ):
-                bounds = (0, *cuts, r)
-                blocks = [dom[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
-                yield from _fill_images(n, blocks)
+            for h in block_counts:
+                if h > r:
+                    break
+                # h - 1 cut positions between consecutive domain points
+                for cuts in itertools.combinations(range(1, r), h - 1):
+                    bounds = (0, *cuts, r)
+                    blocks = [dom[bounds[i]:bounds[i + 1]] for i in range(h)]
+                    yield from _fill_images(n, blocks)
 
 
 def _fill_images(n: int, blocks: list[tuple[int, ...]]) -> Iterator[PartialMap]:
@@ -103,31 +112,29 @@ def _fill_images(n: int, blocks: list[tuple[int, ...]]) -> Iterator[PartialMap]:
 
 def _iter_family(spec: FamilySpec) -> Iterator[PartialMap]:
     n, p = spec.n, spec.p
+    avoiding_1 = tuple(range(2, n + 1))
     if spec.kind is Family.SS_PRIME:
-        yield from _isotone_decreasing(n, tuple(range(2, n + 1)))
+        yield from _isotone_decreasing(n, avoiding_1, range(n))
     elif spec.kind is Family.LS:
-        yield from _isotone_decreasing(n, tuple(range(1, n + 1)))
+        yield from _isotone_decreasing(n, (1, *avoiding_1), range(n + 1))
     elif spec.kind is Family.SS:
-        for a in _isotone_decreasing(n, tuple(range(1, n + 1))):
+        for a in _isotone_decreasing(n, (1, *avoiding_1), range(n + 1)):
             if 1 in a.domain():
                 yield a
     elif spec.kind is Family.IDEAL_K:
-        for a in _isotone_decreasing(n, tuple(range(2, n + 1))):
-            if a.height() <= p:
-                yield a
+        yield from _isotone_decreasing(n, avoiding_1, range(p + 1))
     elif spec.kind is Family.JSTAR_SLICE:
-        for a in _isotone_decreasing(n, tuple(range(2, n + 1))):
-            if a.height() == p:
-                yield a
+        yield from _isotone_decreasing(n, avoiding_1, (p,))
     elif spec.kind is Family.IDEMPOTENTS:
-        for a in _isotone_decreasing(n, tuple(range(2, n + 1))):
-            if (p is None or a.height() == p) and a.is_idempotent():
+        heights = range(n) if p is None else (p,)
+        for a in _isotone_decreasing(n, avoiding_1, heights):
+            if a.is_idempotent():
                 yield a
     elif spec.kind is Family.REQUISITE:
         if p == 0:
             return
         # one requisite per image {1} + (p-1 points of {2..n})
-        for rest in itertools.combinations(range(2, n + 1), p - 1):
+        for rest in itertools.combinations(avoiding_1, p - 1):
             yield requisite_from_image(n, (1, *rest))
     else:  # pragma: no cover
         raise ValueError(f"unsupported family {spec.kind}")
@@ -272,13 +279,12 @@ def census(elements: Sequence[PartialMap]) -> Census:
 
 
 def _idempotents_at(n: int, heights: Sequence[int]) -> dict[int, set[PartialMap]]:
-    """The idempotents of SS'(n) of each given height, from one walk of the
-    family; each map is tested by squaring it."""
+    """The idempotents of SS'(n) of each given height, from one walk of
+    those heights; each map is tested by squaring it."""
     found: dict[int, set[PartialMap]] = {p: set() for p in heights}
-    for a in _iter_family(FamilySpec(Family.SS_PRIME, n)):
-        at_height = found.get(a.height())
-        if at_height is not None and a.is_idempotent():
-            at_height.add(a)
+    for a in _isotone_decreasing(n, tuple(range(2, n + 1)), heights):
+        if a.is_idempotent():
+            found[a.height()].add(a)
     return found
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
 
-from .families import generating_set_G, schroeder_small, ss_prime_minimal_generators
+from .families import (
+    Family,
+    FamilySpec,
+    enumerate_family,
+    generating_set_G,
+    schroeder_small,
+    ss_prime_minimal_generators,
+)
 from .pmap import PartialMap, ambient_size
 
 __all__ = [
@@ -100,7 +107,7 @@ class SemigroupTable:
         try:
             return self._index[key]
         except KeyError:
-            raise KeyError(f"element {a.encode() if a is not ZERO else '0'} not in table") from None
+            raise KeyError(f"element {a.encode()} not in table") from None
 
     def product(self, i: int, j: int) -> int:
         class_of, _, composed = self.class_rows()[i]
@@ -228,9 +235,11 @@ def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
     """Indices of a seed for the generating set, from the table's shape: the
     3n-4 minimum generators of SS'(n) when the top height is n-1, else
     G(n,p) at the top height p; only the seed elements that are in the table.
-    The seed only saves work; correctness never rests on it.  It costs an
-    enumeration of SS'(n), while the graphs of a table of |S| elements never
-    take more than |S|^2 products, so a table smaller than that goes without.
+    The seed only saves work; correctness never rests on it.  It walks the
+    maps of SS'(n) at its heights (n-1 and n-2, or p) and squares each; a
+    middle slice is a large share of SS'(n) (184,770 of the 518,859 maps at
+    n=10, height 4), while the graphs of a table of |S| elements never take
+    more than |S|^2 products, so a table with |S|^2 below s_n goes without.
     """
     n, top = table.n, max(heights)
     if not 1 <= top <= n - 1 or len(table) ** 2 < schroeder_small(n):
@@ -312,26 +321,24 @@ def build_table(
     return table
 
 
-def target_table(
-    ss: Sequence[PartialMap], target: str, p: int | None = None
-) -> SemigroupTable:
-    """The unverified table of the enumerated SS'(n) ("ss-prime"), of its
-    ideal K(n,p) of heights <= p ("ideal"), or of the Rees quotient on
-    height p with everything lower collapsed to the zero ("quotient");
-    1 <= p <= n-1."""
+def target_table(n: int, target: str, p: int | None = None) -> SemigroupTable:
+    """The unverified table of SS'(n) ("ss-prime"), of its ideal K(n,p) of
+    heights <= p ("ideal"), or of the Rees quotient on height p with
+    everything lower collapsed to the zero ("quotient"); 1 <= p <= n-1.
+    Each is built from its own family, so only the heights it holds are
+    enumerated."""
     if target not in ("ss-prime", "ideal", "quotient"):
         raise ValueError(f"unknown target {target!r}")
     if target == "ss-prime":
-        return build_table(ss, verify=False)
+        return build_table(enumerate_family(FamilySpec(Family.SS_PRIME, n)), verify=False)
     if p is None:
         raise ValueError(f"target {target!r} needs a height p (--p)")
-    n = ss[0].n
     if not 1 <= p <= n - 1:
         raise ValueError(f"target {target!r} needs 1 <= p <= n-1 (--p), got p={p}, n={n}")
     if target == "ideal":
-        return build_table([a for a in ss if a.height() <= p], verify=False)
+        return build_table(enumerate_family(FamilySpec(Family.IDEAL_K, n, p)), verify=False)
     return build_table(
-        [a for a in ss if a.height() == p], collapse_below=p, verify=False
+        enumerate_family(FamilySpec(Family.JSTAR_SLICE, n, p)), collapse_below=p, verify=False
     )
 
 
@@ -457,30 +464,17 @@ def green(table: SemigroupTable, which: GreenName) -> EqPartition:
         rcl = green(table, "R").class_id
         return EqPartition.from_keys(list(zip(lcl, rcl)))
     if which == "D":
-        # join of L and R: connected components when both partitions merge
-        lcl = green(table, "L").class_id
-        rcl = green(table, "R").class_id
-        parent = list(range(size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for cid in (lcl, rcl):
-            first: dict[int, int] = {}
-            for i, c in enumerate(cid):
-                if c in first:
-                    union(first[c], i)
-                else:
-                    first[c] = i
-        return EqPartition.from_keys([find(i) for i in range(size)])
+        # join of L and R: step from each element to the next member of its
+        # L-class and of its R-class, cyclically; D is mutual reachability
+        steps = []
+        for relation in ("L", "R"):
+            step = array("I", [0]) * size
+            for members in green(table, relation).classes:
+                for a, b in zip(members, members[1:] + members[:1]):
+                    step[a] = b
+            steps.append(step)
+        left_step, right_step = steps
+        return _scc_partition(size, lambda i: (left_step[i], right_step[i]))
     raise ValueError(f"unknown Green relation {which!r}")
 
 

@@ -23,7 +23,7 @@ from .families import (
     generating_set_G,
     ss_prime_minimal_generators,
 )
-from .green import ZERO, SemigroupTable
+from .green import SemigroupTable
 from .pmap import (
     PartialMap,
     alpha_i,
@@ -98,13 +98,13 @@ class RankResult:
     notes: str = ""
 
     def to_json(self, table: SemigroupTable) -> str:
-        enc = lambda i: table.elements[i].encode() if table.elements[i] is not ZERO else "0"
+        elements = table.elements
         return json.dumps(
             {
                 "rank": self.rank,
                 "certified": self.certified,
-                "essential": sorted(enc(i) for i in self.essential),
-                "generating_set": sorted(enc(i) for i in self.generating_set),
+                "essential": sorted(elements[i].encode() for i in self.essential),
+                "generating_set": sorted(elements[i].encode() for i in self.generating_set),
                 "notes": self.notes,
             }
         )

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 import schroeder.cli
 import schroeder.families
-from schroeder import ZERO, EqPartition, Family
+from schroeder import ZERO, EqPartition, Family, PartialMap
 from schroeder.cli import main
 
 
@@ -255,6 +256,36 @@ def test_rank_guard_table_size(capsys):
     assert "48,770,265" in err and "--max-n" in err
 
 
+def test_rank_ideal_guard(capsys):
+    # ideal (8,4) takes 44 s and 1.7 GB by default, (8,5) and (8,6) up to
+    # 2.7 GB, so ideals stop at n = 7; a cheap ideal at n = 8 still runs
+    code, out, err = run(capsys, "rank", "--target", "ideal", "--n", "8", "--p", "4")
+    assert code == 3
+    assert out == ""
+    assert "guarded at n=7" in err and "--max-n" in err
+    code, out, _ = run(capsys, "rank", "--target", "ideal", "--n", "8", "--p", "1",
+                       "--max-n", "8")
+    assert code == 0
+    assert out.startswith("rank: 128 (formula 128) PASS")
+
+
+def test_rank_quotient_builds_only_its_height(capsys, monkeypatch):
+    """The quotient at height 2 of SS'(6) builds its 363 maps of height 2
+    and no other map of SS'(6)."""
+    from_vector = PartialMap.from_vector.__func__
+    built = []
+
+    def counted(cls, vector):
+        built.append(vector)
+        return from_vector(cls, vector)
+
+    monkeypatch.setattr(PartialMap, "from_vector", classmethod(counted))
+    code, _, _ = run(capsys, "rank", "--target", "quotient", "--n", "6", "--p", "2")
+    assert code == 0
+    assert len(built) == 363
+    assert all(len(set(v)) - 1 == 2 for v in built)
+
+
 @pytest.mark.long
 def test_rank_n8(capsys):
     code, out, _ = run(capsys, "rank", "--n", "8", "--format", "json")
@@ -267,13 +298,15 @@ def test_rank_n8(capsys):
 
 def test_rank_of_non_closed_set_is_verification_failure(capsys, monkeypatch):
     """A table built without its closure check fails when a product is
-    missing: exit 1, a verification failure, not exit 2, a usage error."""
-    enumerate_family = schroeder.cli.enumerate_family
+    missing: exit 1, a verification failure, not exit 2, a usage error.
+    ``target_table`` enumerates the target's family."""
+    green_module = importlib.import_module("schroeder.green")
+    enumerate_family = green_module.enumerate_family
 
     def without_empty_map(spec):
         return [a for a in enumerate_family(spec) if a.pairs]
 
-    monkeypatch.setattr(schroeder.cli, "enumerate_family", without_empty_map)
+    monkeypatch.setattr(green_module, "enumerate_family", without_empty_map)
     code, out, err = run(capsys, "rank", "--n", "4")
     assert code == 1
     assert out == ""

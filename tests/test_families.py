@@ -54,6 +54,52 @@ def test_enumeration_is_sorted_and_duplicate_free(kind):
             assert len(set(codes)) == len(codes), (kind, n, p)
 
 
+def full_walk_reference(n, domain_pool):
+    """Every isotone order-decreasing map with domain within the pool, by
+    domain size, domain, then number of blocks: the full walk, which each
+    family must equal once filtered by height."""
+    yield PartialMap.empty(n)
+    for r in range(1, len(domain_pool) + 1):
+        for dom in itertools.combinations(domain_pool, r):
+            for k in range(r):
+                for cuts in itertools.combinations(range(1, r), k):
+                    bounds = (0, *cuts, r)
+                    blocks = [dom[bounds[i]:bounds[i + 1]] for i in range(k + 1)]
+                    yield from schroeder.families._fill_images(n, blocks)
+
+
+def family_reference(walks, kind, n, p):
+    """Each family as the filter of one full walk, in the walk's order."""
+    ss_prime, ls = walks
+    if kind is Family.SS_PRIME:
+        return ss_prime
+    if kind is Family.LS:
+        return ls
+    if kind is Family.SS:
+        return [a for a in ls if 1 in a.domain()]
+    if kind is Family.IDEAL_K:
+        return [a for a in ss_prime if a.height() <= p]
+    if kind is Family.JSTAR_SLICE:
+        return [a for a in ss_prime if a.height() == p]
+    if kind is Family.IDEMPOTENTS:
+        return [a for a in ss_prime if (p is None or a.height() == p) and a.is_idempotent()]
+    return list(schroeder.families._iter_family(FamilySpec(kind, n, p)))  # REQUISITE
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_height_slices_match_the_filtered_full_walk(n):
+    """Generating only the asked heights yields the same maps in the same
+    order as filtering the full walk, for every family and height."""
+    walks = [list(full_walk_reference(n, pool)) for pool in (range(2, n + 1), range(1, n + 1))]
+    for kind in Family:
+        heights = [None] if kind not in schroeder.families._NEEDS_P else []
+        if kind in schroeder.families._NEEDS_P or kind is Family.IDEMPOTENTS:
+            heights += range(n)
+        for p in heights:
+            got = list(schroeder.families._iter_family(FamilySpec(kind, n, p)))
+            assert got == family_reference(walks, kind, n, p), (kind, p)
+
+
 def test_small_family_listing():
     assert [a.encode() for a in enumerate_family(FamilySpec(Family.SS_PRIME, 2))] == [
         "-", "2:1", "2:2",
@@ -198,10 +244,10 @@ def test_minimal_generators_walk_once(monkeypatch):
     walks = []
     real = schroeder.families._isotone_decreasing
 
-    def counting(n, domain_pool):
-        walks.append((n, domain_pool))
-        return real(n, domain_pool)
+    def counting(n, domain_pool, heights):
+        walks.append((n, domain_pool, sorted(heights)))
+        return real(n, domain_pool, heights)
 
     monkeypatch.setattr(schroeder.families, "_isotone_decreasing", counting)
     ss_prime_minimal_generators(6)
-    assert walks == [(6, (2, 3, 4, 5, 6))]
+    assert walks == [(6, (2, 3, 4, 5, 6), [4, 5])]

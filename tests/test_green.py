@@ -126,8 +126,8 @@ def test_full_table_matches_compose_reference(table, make):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_class_row_products_counts_the_class_rows(ss, n):
-    t = target_table(ss(n), "ss-prime")
+def test_class_row_products_counts_the_class_rows(n):
+    t = target_table(n, "ss-prime")
     assert sum(len(composed) for _, _, composed in t.class_rows()) == class_row_products(n)
 
 
@@ -145,8 +145,8 @@ def test_regular_matches_reference(table, case):
     assert regular_indices(t) == regular_reference(t)
 
 
-def test_green_builds_no_product_table(ss):
-    t = target_table(ss(6), "ss-prime")
+def test_green_builds_no_product_table():
+    t = target_table(6, "ss-prime")
     for which in "LRHDJ":
         green(t, which)
     regular_indices(t)
@@ -155,18 +155,19 @@ def test_green_builds_no_product_table(ss):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_seed_gives_the_minimal_generating_set(ss, n):
+def test_seed_gives_the_minimal_generating_set(n):
     """Seeded with the 3n-4 minimum generators, the search adds none; the
     greedy completion alone picks 86 generators at n=6 and makes the
     graphs several times larger."""
-    t = target_table(ss(n), "ss-prime")
+    t = target_table(n, "ss-prime")
     t.right_cayley()
     assert len(t._gens) == 3 * n - 4
 
 
 def test_small_table_skips_the_seed(monkeypatch):
-    """Seeding enumerates SS'(n), 13.6 million maps at n=12; a table of one
-    element must not pay for that."""
+    """Seeding walks height slices of SS'(n), and a middle slice is a large
+    share of its maps (13.6 million at n=12); a table of one element skips
+    the seed whatever its height."""
     green_module = importlib.import_module("schroeder.green")
 
     def unaffordable(*args):
@@ -191,6 +192,27 @@ def test_build_table_rejects_non_closed():
     a = PartialMap.of(3, {2: 1, 3: 2})
     with pytest.raises(ValueError, match="not closed"):
         build_table([a])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_target_table_matches_the_filtered_semigroup(ss, n):
+    """Each target built from its own family equals the table of the
+    enumerated SS'(n) filtered by height: same elements, zero and class
+    rows."""
+    def reference(target, p):
+        if target == "ss-prime":
+            return build_table(ss(n), verify=False)
+        if target == "ideal":
+            return build_table([a for a in ss(n) if a.height() <= p], verify=False)
+        return build_table([a for a in ss(n) if a.height() == p], collapse_below=p,
+                           verify=False)
+
+    cases = [("ss-prime", None)] + [(t, p) for t in ("ideal", "quotient") for p in range(1, n)]
+    for target, p in cases:
+        got, want = target_table(n, target, p), reference(target, p)
+        assert got.elements == want.elements, (target, p)
+        assert got.zero_index == want.zero_index, (target, p)
+        assert got.class_rows() == want.class_rows(), (target, p)
 
 
 def test_build_table_lazy_verification(ss):

@@ -91,8 +91,8 @@ def test_class_scans_match_entry_references(table, make):
 
 @pytest.mark.parametrize("target, p", [("ss-prime", None), ("quotient", 2)],
                          ids=["ss-prime-n6", "quotient-n5-p2"])
-def test_rank_oracle_builds_no_product_table(ss, target, p):
-    t = target_table(ss(6 if p is None else 5), target, p)
+def test_rank_oracle_builds_no_product_table(target, p):
+    t = target_table(6 if p is None else 5, target, p)
     assert rank_oracle(t).certified
     assert t._rows is None
 
@@ -163,7 +163,7 @@ def test_hot_paths_do_not_compose_partial_maps(monkeypatch, ss):
     in verify_theorem_hq builds maps from vectors, one per element.  The
     generators and the table are built first, with that constructor."""
     gens = ss_prime_minimal_generators(5)
-    t = target_table(ss(4), "ss-prime")
+    t = target_table(4, "ss-prime")
     from_vector = PartialMap.from_vector.__func__
     built = []
 
