@@ -62,6 +62,7 @@ from .rank import (
     formula_rank_quotient,
     generating_set_G,
     lift_requisite,
+    rank_layered,
     rank_oracle,
     ss_prime_minimal_generators,
     verify_ss1_witnesses,

@@ -18,11 +18,11 @@ from .families import (
     FamilySpec,
     binom,
     census,
-    class_row_products,
     count_idempotents,
     enumerate_family,
     formula_idempotents,
     formula_rstar_classes,
+    height_counts,
     schroeder_small,
 )
 from .green import (
@@ -37,7 +37,7 @@ from .rank import (
     closure,
     formula_rank_ideal,
     formula_rank_quotient,
-    rank_oracle,
+    rank_layered,
     ss_prime_minimal_generators,
     verify_ss1_witnesses,
     verify_theorem_hq,
@@ -49,9 +49,13 @@ GREEN_GUARD = 10
 # ideals and quotients seed their Cayley graphs with G(n,p), hundreds of
 # generators: the D-classes of ideal (9,3) take 1035 MB
 GREEN_IDEAL_GUARD = 8
-RANK_GUARD = 8
-# ideal (8,4), 2-vCPU VM: 44 s and 1.7 GB; (8,5) and (8,6) peak at 2.5-2.7 GB
-RANK_IDEAL_GUARD = 7
+# rank certifies from the top layers, then closes the generating set over
+# the whole target: SS'(11) takes 22-30 s and 609 MB on a 2-vCPU VM, and
+# SS'(12) runs past 60 s
+RANK_GUARD = 11
+# ideals and quotients run the oracle on the quotient at height p itself:
+# quotients (9,3) and (9,4) take about 1 GB
+RANK_QUOTIENT_GUARD = 8
 DEFINITIONAL_GUARD = 5
 
 EXIT_OK = 0
@@ -197,25 +201,17 @@ def cmd_green(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    ideal = args.target == "ideal"
-    default = RANK_IDEAL_GUARD if ideal else RANK_GUARD
+    default = RANK_GUARD if args.target == "ss-prime" else RANK_QUOTIENT_GUARD
     guard = args.max_n if args.max_n is not None else default
     if args.n > guard:
-        # counted at the first n past the guard: the count only grows with n,
-        # and counting at a huge refused n would stall
-        products = class_row_products(guard + 1)
+        # counted at the first n past the guard: the count only grows with n
+        maps = sum(height_counts(guard + 1))
         return _fail_guard(
-            f"rank computation guarded at n={guard}: its class-compressed product "
-            f"rows compose one product per restriction class of each row, "
-            f"{products:,} of them for SS'({guard + 1})"
-            + ("; the factor constraints of ideals at n=8 take up to 2.7 GB" if ideal else "")
-            + " (raise --max-n)"
+            f"rank computation guarded at n={guard}: the tables it builds and "
+            f"closes grow with SS'(n), which has {maps:,} maps at n={guard + 1} "
+            f"(raise --max-n)"
         )
-    try:
-        table = target_table(args.n, args.target, args.p)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    result = rank_oracle(table)
+    result, table = rank_layered(args.n, args.target, args.p)
     if args.target == "ss-prime":
         formula = 3 * args.n - 4
     elif args.target == "quotient":
@@ -302,30 +298,23 @@ def _verify_rows(n_max: int, long: bool):
             and green(table, "H") == green(table, "R")
             and green(table, "D") == green(table, "L") == green(table, "J"),
         )
-        if n <= 7:
+        add(
+            f"quotient ranks n={n}",
+            lambda n=n: all(
+                rank_layered(n, "quotient", p)[0].rank == formula_rank_quotient(n, p)
+                for p in range(1, n)
+            ),
+        )
+        if n >= 3:
             add(
-                f"quotient ranks n={n}",
+                f"ideal ranks n={n}",
                 lambda n=n: all(
-                    rank_oracle(target_table(n, "quotient", p)).rank
-                    == formula_rank_quotient(n, p)
-                    for p in range(1, n)
+                    rank_layered(n, "ideal", p)[0].rank == formula_rank_ideal(n, p)
+                    for p in range(1, n - 1)
                 ),
             )
-            if n >= 3:
-                add(
-                    f"ideal ranks n={n}",
-                    lambda n=n: all(
-                        rank_oracle(target_table(n, "ideal", p)).rank
-                        == formula_rank_ideal(n, p)
-                        for p in range(1, n - 1)
-                    ),
-                )
-            add(f"semigroup rank n={n}",
-                lambda table=table, n=n: rank_oracle(table).rank == 3 * n - 4)
-        else:
-            add(f"quotient ranks n={n}", None)
-            add(f"ideal ranks n={n}", None)
-            add(f"semigroup rank n={n}", None)
+        add(f"semigroup rank n={n}",
+            lambda n=n: rank_layered(n, "ss-prime")[0].rank == 3 * n - 4)
         if n <= 7:
             add(f"idempotent+requisite generation n={n}",
                 lambda n=n: verify_theorem_hq(n))

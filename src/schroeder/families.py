@@ -28,6 +28,7 @@ __all__ = [
     "count_rstar_classes",
     "formula_rstar_classes",
     "count_lstar_classes",
+    "height_counts",
     "Census",
     "census",
     "generating_set_G",
@@ -216,38 +217,29 @@ def count_lstar_classes(n: int, p: int) -> int:
     return len(images)
 
 
-def class_row_products(n: int) -> int:
-    """Number of products that ``SemigroupTable.class_rows`` composes for
-    SS'(n): one per row a and class of columns of equal restriction to Im a.
+def height_counts(n: int) -> tuple[int, ...]:
+    """Number of members of SS'(n) of each height h = 0..n-1, counted over
+    the tabular form without enumerating a member; |K(n,p)| is the sum of
+    the first p+1 counts.
 
-    The restrictions of members to a set I are the members r with Dom r
-    within I (1 is in no domain), so this counts the triples (I, a, r) with
-    Im a = I and Dom r within I, without enumerating a member.  A scan
-    x = 1..n decides whether x is in I, whether and where r sends x (x > 1),
-    and what a does at x (x > 1): nothing, join a's last block, or open a
-    block valued by the least point of I not yet a value of a (a is
-    isotone, so its values come in order, and decreasing, so that point is
-    at most x).  The state is (points of I not yet values of a, whether a
-    has a block, the last value of r or 0); a must use every point of I.
+    A scan x = 2..n either leaves x out of the domain or sends it to a value
+    v with last <= v <= x, where last is the value of the previous domain
+    point (0 before the first, and every value is at least 1): exactly the
+    isotone, order-decreasing choices.  The height grows by one when
+    v > last.  The state is (last, height so far).
     """
-    ways = {(0, False, 0): 1}
-    for x in range(1, n + 1):
-        step: dict = {}
-        for (pending, opened, last), w in ways.items():
-            choices = [(pending, last), (pending + 1, last)]
-            if x > 1:
-                choices += [(pending + 1, v) for v in range(max(last, 1), x + 1)]
-            for q, r_last in choices:
-                outcomes = [(q, opened, r_last)]
-                if x > 1:
-                    if opened:
-                        outcomes.append((q, True, r_last))
-                    if q:
-                        outcomes.append((q - 1, True, r_last))
-                for state in outcomes:
-                    step[state] = step.get(state, 0) + w
+    ways = {(0, 0): 1}
+    for x in range(2, n + 1):
+        step = dict(ways)  # x left out of the domain
+        for (last, h), w in ways.items():
+            for v in range(max(last, 1), x + 1):
+                state = (v, h + (v > last))
+                step[state] = step.get(state, 0) + w
         ways = step
-    return sum(w for (pending, _, _), w in ways.items() if pending == 0)
+    counts = [0] * n
+    for (_, h), w in ways.items():
+        counts[h] += w
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,7 @@ def build_table(
     adjoin_zero: bool = False,
     collapse_below: int | None = None,
     verify: bool = True,
+    canonical: bool = False,
 ) -> SemigroupTable:
     """Intern an element set, checking closure (optionally under collapse).
 
@@ -300,8 +301,14 @@ def build_table(
     Closure is checked by building the right Cayley graph, which raises on
     a missing product.  With ``verify=False`` that check happens on
     first use instead: a product table or Cayley graph raises then.
+    The elements are indexed in order of ``encode()``; ``canonical=True``
+    says they already come so, without repeats (as ``enumerate_family``
+    returns them), and skips the sort.
     """
-    elems = sorted(set(elements), key=lambda a: a.encode())
+    if canonical:
+        elems = list(elements)
+    else:
+        elems = sorted(set(elements), key=lambda a: a.encode())
     if not elems:
         raise ValueError("empty element set")
     n = ambient_size(elems)
@@ -321,24 +328,40 @@ def build_table(
     return table
 
 
-def target_table(n: int, target: str, p: int | None = None) -> SemigroupTable:
+def target_table(n: int, target: str, p: int | None = None, lo: int | None = None) -> SemigroupTable:
     """The unverified table of SS'(n) ("ss-prime"), of its ideal K(n,p) of
     heights <= p ("ideal"), or of the Rees quotient on height p with
     everything lower collapsed to the zero ("quotient"); 1 <= p <= n-1.
-    Each is built from its own family, so only the heights it holds are
-    enumerated."""
+
+    Every table holds the maps of heights lo..top, where top is n-1 for
+    "ss-prime" and p otherwise, and lo defaults to the target's own least
+    height: 0, or p for "quotient".  For lo >= 1 every product of height
+    below lo is the zero, so the table is the Rees quotient of the target
+    by its ideal K(n,lo-1).  It is built from the height slices it holds,
+    so no other map is enumerated.
+    """
     if target not in ("ss-prime", "ideal", "quotient"):
         raise ValueError(f"unknown target {target!r}")
     if target == "ss-prime":
-        return build_table(enumerate_family(FamilySpec(Family.SS_PRIME, n)), verify=False)
-    if p is None:
+        top = n - 1
+    elif p is None:
         raise ValueError(f"target {target!r} needs a height p (--p)")
-    if not 1 <= p <= n - 1:
+    elif not 1 <= p <= n - 1:
         raise ValueError(f"target {target!r} needs 1 <= p <= n-1 (--p), got p={p}, n={n}")
-    if target == "ideal":
-        return build_table(enumerate_family(FamilySpec(Family.IDEAL_K, n, p)), verify=False)
+    else:
+        top = p
+    least = p if target == "quotient" else 0
+    if lo is None:
+        lo = least
+    elif not least <= lo <= top:
+        raise ValueError(f"target {target!r} has heights {least}..{top}, not {lo}")
+    if lo == 0:
+        return build_table(
+            enumerate_family(FamilySpec(Family.IDEAL_K, n, top)), verify=False, canonical=True
+        )
+    slices = [enumerate_family(FamilySpec(Family.JSTAR_SLICE, n, h)) for h in range(lo, top + 1)]
     return build_table(
-        enumerate_family(FamilySpec(Family.JSTAR_SLICE, n, p)), collapse_below=p, verify=False
+        chain.from_iterable(slices), collapse_below=lo, verify=False, canonical=len(slices) == 1
     )
 
 

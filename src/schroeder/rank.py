@@ -7,7 +7,9 @@ themselves, hence forced into every generating set), verifies that they
 generate, and only then certifies the minimum.  When they do not generate,
 it bounds the rank below by the essentials plus a count of pairwise disjoint
 factor constraints, and certifies one generator per constraint only when
-that set meets the bound and generates.
+that set meets the bound and generates.  ``rank_layered`` runs the oracle on
+the top-layer Rees quotient of a target first, and keeps its rank when the
+certified set generates the whole target.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .families import (
     binom,
     enumerate_family,
     generating_set_G,
+    height_counts,
     ss_prime_minimal_generators,
 )
-from .green import SemigroupTable
+from .green import SemigroupTable, target_table
 from .pmap import (
     PartialMap,
     alpha_i,
@@ -42,6 +45,7 @@ __all__ = [
     "essential_elements",
     "RankResult",
     "rank_oracle",
+    "rank_layered",
     "formula_rank_quotient",
     "formula_rank_ideal",
     "generating_set_G",
@@ -121,13 +125,16 @@ def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
         {s} | {g != s : exists v != s with g v = s}   (first factor)
     for every s.  Any set of pairwise disjoint constraints avoiding the
     essentials therefore adds its count to a sound lower bound on the rank.
+    The zero of a Rees quotient gets no constraints: nearly every product
+    there is the zero, and any subset of the constraints still bounds the
+    rank below.
     """
-    size = len(table)
+    size, zi = len(table), table.zero_index
     pred_right: list[set[int]] = [set() for _ in range(size)]
     pred_left: list[set[int]] = [set() for _ in range(size)]
     for u, (_, members, composed) in enumerate(table.class_rows()):
         for c, s in enumerate(composed):
-            if s != u:
+            if s != u and s != zi:
                 factors = members[c]
                 # as in essential_elements; s itself may join pred_right[s],
                 # which each constraint holds anyway
@@ -136,6 +143,8 @@ def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
                     pred_left[s].add(u)
     out = []
     for s in range(size):
+        if s == zi:
+            continue
         out.append(frozenset({s}) | frozenset(pred_right[s]))
         out.append(frozenset({s}) | frozenset(pred_left[s]))
     return out
@@ -203,6 +212,37 @@ def rank_oracle(table: SemigroupTable) -> RankResult:
         generating_set=(),
         notes=f"lower bound {lower} (disjoint constraints); no generating set of that size found",
     )
+
+
+def rank_layered(
+    n: int, target: str, p: int | None = None
+) -> tuple[RankResult, SemigroupTable]:
+    """The rank of a target of ``green.target_table``, certified from its
+    top layers, and the table whose indices the result refers to.
+
+    For lo = top, top-1, ..., 1, where top is the target's greatest height,
+    Q is the target's Rees quotient by its ideal K(n,lo-1): heights lo..top,
+    with the rest collapsed to the zero.  A generating set of the target
+    maps onto one of Q, so rank(Q) <= rank(target).  When ``rank_oracle``
+    certifies rank(Q) with a set of maps (the zero not among them) whose
+    closure in SS'(n) reaches every map of the target, that set bounds
+    rank(target) above as well, and the two are equal.  Otherwise lo steps
+    down; at lo = 0 the table is the whole target and ``rank_oracle``'s
+    result stands.  The target's order comes from ``height_counts``, not
+    from a closed form.  A quotient target is its own top layer.
+    """
+    top = n - 1 if target == "ss-prime" else p
+    lo = top
+    while True:
+        table = target_table(n, target, p, lo)
+        result = rank_oracle(table)
+        if not lo or target == "quotient":
+            return result, table
+        if result.certified and table.zero_index not in result.generating_set:
+            gens = [table.elements[i] for i in result.generating_set]
+            if len(closure(gens)) == sum(height_counts(n)[: top + 1]):
+                return result, table
+        lo -= 1
 
 
 # -- closed forms ----------------------------------------------------------

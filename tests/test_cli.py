@@ -242,31 +242,33 @@ def test_rank_quotient(capsys):
 
 
 def test_rank_guard(capsys):
-    code, _, err = run(capsys, "rank", "--n", "9")
+    code, _, err = run(capsys, "rank", "--n", "12")
     assert code == 3
     assert "--max-n" in err
 
 
 def test_rank_guard_table_size(capsys):
-    # the class rows of SS'(9) compose 48,770,265 products, about 12 times
-    # as many as those of SS'(8)
-    code, out, err = run(capsys, "rank", "--n", "9")
+    # SS'(12) has 13,648,869 maps, about 5 times as many as SS'(11), whose
+    # closure takes 22-30 s and 609 MB
+    code, out, err = run(capsys, "rank", "--n", "12")
     assert code == 3
     assert out == ""
-    assert "48,770,265" in err and "--max-n" in err
+    assert "13,648,869" in err and "--max-n" in err
 
 
 def test_rank_ideal_guard(capsys):
-    # ideal (8,4) takes 44 s and 1.7 GB by default, (8,5) and (8,6) up to
-    # 2.7 GB, so ideals stop at n = 7; a cheap ideal at n = 8 still runs
-    code, out, err = run(capsys, "rank", "--target", "ideal", "--n", "8", "--p", "4")
-    assert code == 3
-    assert out == ""
-    assert "guarded at n=7" in err and "--max-n" in err
-    code, out, _ = run(capsys, "rank", "--target", "ideal", "--n", "8", "--p", "1",
-                       "--max-n", "8")
+    # ideals and quotients run the oracle on the quotient at height p, which
+    # takes about 1 GB at (9,3) and (9,4), so both stop at n = 8; the whole
+    # SS'(9) as an ideal still runs past the guard
+    for target in ("ideal", "quotient"):
+        code, out, err = run(capsys, "rank", "--target", target, "--n", "9", "--p", "4")
+        assert code == 3
+        assert out == ""
+        assert "guarded at n=8" in err and "103,049" in err and "--max-n" in err
+    code, out, _ = run(capsys, "rank", "--target", "ideal", "--n", "9", "--p", "8",
+                       "--max-n", "9")
     assert code == 0
-    assert out.startswith("rank: 128 (formula 128) PASS")
+    assert out.startswith("rank: 23 (formula 23) PASS")
 
 
 def test_rank_quotient_builds_only_its_height(capsys, monkeypatch):
@@ -299,14 +301,16 @@ def test_rank_n8(capsys):
 def test_rank_of_non_closed_set_is_verification_failure(capsys, monkeypatch):
     """A table built without its closure check fails when a product is
     missing: exit 1, a verification failure, not exit 2, a usage error.
-    ``target_table`` enumerates the target's family."""
+    The height-3 slice of SS'(4) does not generate SS'(4), so ``rank``
+    steps down to the layer table of heights 2 and 3, which here misses
+    {2:1,3:2,4:4} squared, {3:1,4:4}."""
     green_module = importlib.import_module("schroeder.green")
     enumerate_family = green_module.enumerate_family
 
-    def without_empty_map(spec):
-        return [a for a in enumerate_family(spec) if a.pairs]
+    def without_a_square(spec):
+        return [a for a in enumerate_family(spec) if a.encode() != "3:1,4:4"]
 
-    monkeypatch.setattr(green_module, "enumerate_family", without_empty_map)
+    monkeypatch.setattr(green_module, "enumerate_family", without_a_square)
     code, out, err = run(capsys, "rank", "--n", "4")
     assert code == 1
     assert out == ""

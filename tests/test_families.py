@@ -18,7 +18,7 @@ from schroeder import (
     verify_identity_corollary,
 )
 import schroeder.families
-from schroeder.families import census, ss_prime_minimal_generators
+from schroeder.families import census, height_counts, ss_prime_minimal_generators
 from schroeder.pmap import all_partial_maps, eps_1k
 
 
@@ -137,6 +137,16 @@ def test_ideal_and_slice_partition():
     for p in range(n):
         ideal = enumerate_family(FamilySpec(Family.IDEAL_K, n, p))
         assert set(ideal) == {a for a in ssp if a.height() <= p}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_height_counts_count_the_ideals(n):
+    """The counting DP gives the order of every ideal K(n,top), top = 0..n-1,
+    as enumerated: in particular |SS'(n)| at top = n-1."""
+    counts = height_counts(n)
+    for top in range(n):
+        ideal = enumerate_family(FamilySpec(Family.IDEAL_K, n, top))
+        assert sum(counts[: top + 1]) == len(ideal)
 
 
 def test_ideal_is_two_sided():

@@ -19,7 +19,6 @@ from schroeder import (
     starred_characterized,
     starred_definitional,
 )
-from schroeder.families import class_row_products
 from schroeder.green import _scc_partition, regular_indices, target_table
 from schroeder.pmap import all_partial_maps
 
@@ -125,12 +124,6 @@ def test_full_table_matches_compose_reference(table, make):
         assert list(row) == [product_reference(t, i, j) for j in range(size)], i
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_class_row_products_counts_the_class_rows(n):
-    t = target_table(n, "ss-prime")
-    assert sum(len(composed) for _, _, composed in t.class_rows()) == class_row_products(n)
-
-
 def test_full_table_rejects_non_closed():
     # the empty map is a product of two of the other partial maps of {1,2,3}
     elements = [a for a in all_partial_maps(3) if a.pairs]
@@ -213,6 +206,31 @@ def test_target_table_matches_the_filtered_semigroup(ss, n):
         assert got.elements == want.elements, (target, p)
         assert got.zero_index == want.zero_index, (target, p)
         assert got.class_rows() == want.class_rows(), (target, p)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_layer_tables_match_the_filtered_semigroup(ss, n):
+    """The layer table of heights lo..top of a target equals the table of
+    the enumerated SS'(n) filtered to those heights and collapsed below lo:
+    same elements in encode order, zero and class rows."""
+    for top in range(1, n):
+        for lo in range(1, top + 1):
+            want = build_table([a for a in ss(n) if lo <= a.height() <= top],
+                               collapse_below=lo, verify=False)
+            targets = [("ideal", top)] + ([("ss-prime", None)] if top == n - 1 else [])
+            targets += [("quotient", top)] if lo == top else []
+            for target, p in targets:
+                got = target_table(n, target, p, lo)
+                assert got.elements == want.elements, (target, p, lo)
+                assert got.collapse_below == lo and got.zero_index == want.zero_index
+                assert got.class_rows() == want.class_rows(), (target, p, lo)
+
+
+def test_target_table_rejects_heights_outside_the_target():
+    with pytest.raises(ValueError, match="heights 2..2, not 1"):
+        target_table(4, "quotient", 2, 1)
+    with pytest.raises(ValueError, match="heights 0..3, not 4"):
+        target_table(4, "ss-prime", None, 4)
 
 
 def test_build_table_lazy_verification(ss):

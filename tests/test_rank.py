@@ -24,7 +24,8 @@ from schroeder import (
 )
 from schroeder.green import build_table, target_table
 from schroeder.pmap import all_partial_maps
-from schroeder.rank import _factor_constraints, _minimal_constraints
+import schroeder.rank
+from schroeder.rank import _factor_constraints, _minimal_constraints, rank_layered
 
 
 # -- slow references on the full |S|^2 product table ----------------------
@@ -44,19 +45,22 @@ def essential_reference(table):
 
 
 def factor_constraints_reference(table):
-    """The last- and first-factor constraints, entry by entry."""
+    """The last- and first-factor constraints, entry by entry; the zero of
+    a Rees quotient gets none."""
     rows = table.full_table()
-    size = len(table)
+    size, zi = len(table), table.zero_index
     pred_right = [set() for _ in range(size)]
     pred_left = [set() for _ in range(size)]
     for u in range(size):
         for g in range(size):
             s = rows[u][g]
-            if s != u and s != g:
+            if s != u and s != g and s != zi:
                 pred_right[s].add(g)
                 pred_left[s].add(u)
     out = []
     for s in range(size):
+        if s == zi:
+            continue
         out.append(frozenset({s}) | frozenset(pred_right[s]))
         out.append(frozenset({s}) | frozenset(pred_left[s]))
     return out
@@ -87,6 +91,63 @@ def test_class_scans_match_entry_references(table, make):
     t = make(table)
     assert essential_elements(t) == essential_reference(t)
     assert _factor_constraints(t) == factor_constraints_reference(t)
+
+
+def _layered_cases(n):
+    return [pytest.param(n, "ss-prime", None, id=f"ss-prime-n{n}")] + [
+        pytest.param(n, target, p, id=f"{target}-n{n}-p{p}")
+        for target in ("ideal", "quotient")
+        for p in range(1, n)
+    ]
+
+
+def _assert_layered_matches_whole(table, n, target, p):
+    result, layers = rank_layered(n, target, p)
+    t = table(n) if target == "ss-prime" else table(n, p, target == "quotient")
+    want = rank_oracle(t)
+    assert (result.rank, result.certified) == (want.rank, want.certified)
+    assert sorted(layers.elements[i].encode() for i in result.generating_set) == sorted(
+        t.elements[i].encode() for i in want.generating_set
+    )
+
+
+@pytest.mark.parametrize("n, target, p", [c for n in range(2, 8) for c in _layered_cases(n)])
+def test_layered_rank_matches_the_whole_table_oracle(table, n, target, p):
+    """The rank certified from the top layers equals the whole target's
+    oracle: same rank, certification and generating set."""
+    _assert_layered_matches_whole(table, n, target, p)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("n, target, p", [
+    pytest.param(8, "ss-prime", None, id="ss-prime-n8"),
+    pytest.param(8, "ideal", 1, id="ideal-n8-p1"),
+    pytest.param(8, "ideal", 2, id="ideal-n8-p2"),
+])
+def test_layered_rank_matches_the_whole_table_oracle_n8(table, n, target, p):
+    """The same at n = 8 where the whole-table oracle stays small: ideal
+    (8,3) takes 665 MB there and (8,4)..(8,6) 1.7-2.7 GB, and a quotient's
+    layered rank is the oracle on the quotient itself."""
+    _assert_layered_matches_whole(table, n, target, p)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_layered_rank_steps_down_to_height_n_minus_2(n):
+    """The top height alone generates only injective maps, so SS'(n) and
+    its top ideal K(n,n-1) are certified from heights n-2 and n-1."""
+    for target, p in (("ss-prime", None), ("ideal", n - 1)):
+        result, layers = rank_layered(n, target, p)
+        assert layers.collapse_below == n - 2
+        assert result.certified and result.rank == 3 * n - 4
+
+
+def test_layered_rank_falls_back_to_the_whole_target(table, monkeypatch):
+    """When no layer's generating set closes to the target, lo steps down
+    to 0 and the whole target's oracle decides."""
+    monkeypatch.setattr(schroeder.rank, "closure", lambda gens: set())
+    result, t = rank_layered(5, "ideal", 3)
+    assert t.collapse_below is None and len(t) == len(table(5, 3))
+    assert result == rank_oracle(table(5, 3))
 
 
 @pytest.mark.parametrize("target, p", [("ss-prime", None), ("quotient", 2)],
