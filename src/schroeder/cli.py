@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -19,10 +20,10 @@ from .families import (
     binom,
     census,
     count_idempotents,
-    enumerate_family,
     formula_idempotents,
     formula_rstar_classes,
     height_counts,
+    iter_family,
     schroeder_small,
 )
 from .green import (
@@ -33,6 +34,7 @@ from .green import (
     starred_definitional,
     target_table,
 )
+from .pmap import PartialMap
 from .rank import (
     closure,
     formula_rank_ideal,
@@ -43,14 +45,20 @@ from .rank import (
     verify_theorem_hq,
 )
 
-ENUM_GUARD = 10  # n=11, 2-vCPU VM: enumerate 54 s / 675 MB, invariants over 60 s
+# invariants and characterized starred relations group what they enumerate:
+# invariants --n 11 takes 43 s (31 s of it the census) on a 2-vCPU VM
+ENUM_GUARD = 10
+# enumerate writes each code as the scan reaches it and holds no family: on a
+# 2-vCPU VM --format json takes 2.5 s at n=11, 14 s at n=12 and 72 s at n=13,
+# each under 19 MB
+ENUMERATE_GUARD = 12
 # classical relations at n=10, 2-vCPU VM: L/R/H/D/J take 24-34 s and under 800 MB
 GREEN_GUARD = 10
 # ideals and quotients seed their Cayley graphs with G(n,p), hundreds of
 # generators: the D-classes of ideal (9,3) take 1035 MB
 GREEN_IDEAL_GUARD = 8
 # rank certifies from the top layers, then closes the generating set over
-# the whole target: SS'(11) takes 22-30 s and 609 MB on a 2-vCPU VM, and
+# the whole target: SS'(11) takes 20 s and 329 MB on a 2-vCPU VM, and
 # SS'(12) runs past 60 s
 RANK_GUARD = 11
 # ideals and quotients run the oracle on the quotient at height p itself:
@@ -77,28 +85,42 @@ def _fail_guard(message: str) -> int:
 # -- enumerate ----------------------------------------------------------
 
 
+def _batches(items, size: int = 4096):
+    items = iter(items)
+    while batch := list(itertools.islice(items, size)):
+        yield batch
+
+
 def cmd_enumerate(args) -> int:
     if args.n < 2:
         return _fail_usage("family enumeration needs n >= 2 (n=1 gives the empty family)")
-    guard = args.max_n if args.max_n is not None else ENUM_GUARD
+    guard = args.max_n if args.max_n is not None else ENUMERATE_GUARD
     if args.n > guard:
         return _fail_guard(f"enumeration too large at n={args.n}; raise --max-n")
     try:
         spec = FamilySpec(Family(args.family), args.n, args.p)
-        elements = enumerate_family(spec)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    # each member is written as the scan reaches it; the family is never held
+    members = iter_family(spec)
+    out = sys.stdout
     if args.format == "text":
-        for a in elements:
-            print(a.encode())
+        for batch in _batches(code for code, _ in members):
+            out.write("\n".join(batch) + "\n")
     elif args.format == "json":
-        print(json.dumps({"family": args.family, "n": args.n, "p": args.p,
-                          "elements": [a.encode() for a in elements]}))
+        # the document json.dumps would print, written piecewise: a code
+        # holds only digits and ":,-", which JSON quotes as they are
+        head = json.dumps({"family": args.family, "n": args.n, "p": args.p, "elements": []})
+        out.write(head[:-2])  # up to the opening "["
+        sep = ""
+        for batch in _batches(code for code, _ in members):
+            out.write(sep + '"' + '", "'.join(batch) + '"')
+            sep = ", "
+        out.write("]}\n")
     else:
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(out)
         writer.writerow(["element", "height"])
-        for a in elements:
-            writer.writerow([a.encode(), a.height()])
+        writer.writerows((code, PartialMap.from_vector(v).height()) for code, v in members)
     return EXIT_OK
 
 
@@ -124,7 +146,9 @@ def _invariant_rows(n: int):
         })
         t0 = t1
 
-    counts = census(enumerate_family(FamilySpec(Family.SS_PRIME, n)))
+    counts = census(
+        PartialMap.from_vector(v) for _, v in iter_family(FamilySpec(Family.SS_PRIME, n))
+    )
     add("|SS'|", schroeder_small(n), counts.order)
     add("idempotents", formula_idempotents(n), count_idempotents(n))
     for p in range(n):

@@ -2,9 +2,15 @@
 counting formulas they satisfy, and the distinguished generating sets built
 from them.
 
-Families are generated directly from the tabular form (choose a domain
-avoiding 1, split it into consecutive blocks, pick an increasing image with
-a_i <= min A_i) rather than by filtering all (n+1)^n partial maps.
+Every family but the requisites comes from one depth-first scan over the
+domain points (``_scan``), not from filtering all (n+1)^n partial maps: a
+code "d1:v1,...,dk:vk" grows by a point d above dk with a value v,
+max(vk,1) <= v <= d, so every prefix is itself an isotone order-decreasing
+map.  The scan visits the children of a prefix in text order and emits each
+prefix before them, so it lists a family in canonical text order (that of
+``encode()``) with no sort, building each code once from its parent's.
+Heights outside the asked range are pruned.  ``iter_family`` streams the
+(code, vector) pairs; ``enumerate_family`` lists the maps.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .pmap import PartialMap, eps_1k, requisite_from_image
 
@@ -21,6 +27,7 @@ __all__ = [
     "Family",
     "FamilySpec",
     "enumerate_family",
+    "iter_family",
     "schroeder_small",
     "binom",
     "count_idempotents",
@@ -65,86 +72,87 @@ class FamilySpec:
             raise ValueError(f"need 0 <= p <= n-1, got p={self.p}, n={self.n}")
 
 
-def _isotone_decreasing(
-    n: int, domain_pool: tuple[int, ...], heights: Sequence[int]
-) -> Iterator[PartialMap]:
-    """The isotone order-decreasing maps of the given heights whose domain
-    is a subset of the pool.
+def _scan(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
+    """The code and byte vector of every isotone order-decreasing map of
+    {1..n} whose domain lies in the pool and whose height lies in lo..hi,
+    in canonical text order.
 
-    Kernel classes of an isotone map are consecutive runs of the domain, so
-    we pick a domain, cut it into h runs for each asked height h, and choose
-    images left to right subject to a_prev < a_i <= min A_i.  Maps come by
-    domain size, then domain, then height ascending.
+    A node of the scan is a prefix "d1:v1,...,dk:vk" of a code.  Its
+    children append "d:v" with d > dk in the pool and max(vk,1) <= v <= d
+    (the scan that ``height_counts`` counts), visited in the string order of
+    "d:" and then of str(v), and each node comes before its children.
+    Every token of a code is followed by "," or its end, both below the
+    digits, so this pre-order is the order of ``encode()``, also where
+    two-digit points and values appear ("10:" < "1:" < "2:", "1" < "10").
+    A child whose height passes hi, or whose remaining points can no longer
+    lift it to lo, is pruned.  An explicit stack carries each node's code
+    and vector, so every code is built once from its parent's.
     """
-    if 0 in heights:
-        yield PartialMap.from_vector(bytes(n + 1))  # the empty map
-    block_counts = sorted(set(heights) - {0})
-    if not block_counts:
-        return
-    for r in range(block_counts[0], len(domain_pool) + 1):
-        for dom in itertools.combinations(domain_pool, r):
-            for h in block_counts:
-                if h > r:
-                    break
-                # h - 1 cut positions between consecutive domain points
-                for cuts in itertools.combinations(range(1, r), h - 1):
-                    bounds = (0, *cuts, r)
-                    blocks = [dom[bounds[i]:bounds[i + 1]] for i in range(h)]
-                    yield from _fill_images(n, blocks)
+    points = sorted(pool, key=lambda d: f"{d}:")
+    # the most a node at point d can still grow: one per pool point above d
+    room = {d: sum(e > d for e in pool) for d in (0, *pool)}
+    # the children of a node by its (last point, last value), each with its
+    # token, the tail of its vector from its point on and its own children;
+    # reversed, so that the stack pops them in text order
+    kids: dict[tuple[int, int], list] = {(0, 0): []}
+    kids.update({(d, v): [] for d in pool for v in range(1, d + 1)})
+    for (last, val), children in kids.items():
+        for d in points:
+            if d > last:
+                for v in sorted(range(max(val, 1), d + 1), key=str):
+                    tok = f",{d}:{v}" if last else f"{d}:{v}"
+                    children.append((tok, d, bytes((v,)) + bytes(n - d), v > val, kids[d, v], room[d]))
+        children.reverse()
+    stack = [("", bytes(n + 1), kids[0, 0], 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        code, vec, children, h = pop()
+        if h >= lo:
+            yield code or "-", vec
+        for tok, d, tail, up, grandchildren, r in children:
+            g = h + up
+            if g <= hi and g + r >= lo:
+                push((code + tok, vec[:d] + tail, grandchildren, g))
 
 
-def _fill_images(n: int, blocks: list[tuple[int, ...]]) -> Iterator[PartialMap]:
-    mins = [b[0] for b in blocks]
-
-    def rec(i: int, lo: int, acc: list[int]) -> Iterator[list[int]]:
-        if i == len(blocks):
-            yield acc
-            return
-        for a in range(lo, mins[i] + 1):
-            yield from rec(i + 1, a + 1, acc + [a])
-
-    for images in rec(0, 1, []):
-        v = bytearray(n + 1)
-        for value, block in zip(images, blocks):
-            for d in block:
-                v[d] = value
-        yield PartialMap.from_vector(v)
-
-
-def _iter_family(spec: FamilySpec) -> Iterator[PartialMap]:
+def iter_family(spec: FamilySpec) -> Iterator[tuple[str, bytes]]:
+    """The canonical code and byte vector of each member of the family, in
+    canonical text order, made as the scan reaches it, so no member is held;
+    only the requisites, C(n-1,p-1) of them, are made first and sorted."""
     n, p = spec.n, spec.p
     avoiding_1 = tuple(range(2, n + 1))
     if spec.kind is Family.SS_PRIME:
-        yield from _isotone_decreasing(n, avoiding_1, range(n))
+        yield from _scan(n, avoiding_1, 0, n - 1)
     elif spec.kind is Family.LS:
-        yield from _isotone_decreasing(n, (1, *avoiding_1), range(n + 1))
+        yield from _scan(n, (1, *avoiding_1), 0, n)
     elif spec.kind is Family.SS:
-        for a in _isotone_decreasing(n, (1, *avoiding_1), range(n + 1)):
-            if 1 in a.domain():
-                yield a
+        for code, v in _scan(n, (1, *avoiding_1), 0, n):
+            if v[1]:
+                yield code, v
     elif spec.kind is Family.IDEAL_K:
-        yield from _isotone_decreasing(n, avoiding_1, range(p + 1))
+        yield from _scan(n, avoiding_1, 0, p)
     elif spec.kind is Family.JSTAR_SLICE:
-        yield from _isotone_decreasing(n, avoiding_1, (p,))
+        yield from _scan(n, avoiding_1, p, p)
     elif spec.kind is Family.IDEMPOTENTS:
-        heights = range(n) if p is None else (p,)
-        for a in _isotone_decreasing(n, avoiding_1, heights):
-            if a.is_idempotent():
-                yield a
+        lo, hi = (0, n - 1) if p is None else (p, p)
+        for code, v in _scan(n, avoiding_1, lo, hi):
+            if PartialMap.from_vector(v).is_idempotent():
+                yield code, v
     elif spec.kind is Family.REQUISITE:
         if p == 0:
             return
         # one requisite per image {1} + (p-1 points of {2..n})
-        for rest in itertools.combinations(avoiding_1, p - 1):
-            yield requisite_from_image(n, (1, *rest))
+        reqs = (requisite_from_image(n, (1, *rest))
+                for rest in itertools.combinations(avoiding_1, p - 1))
+        yield from sorted((a.encode(), a.vector) for a in reqs)
     else:  # pragma: no cover
         raise ValueError(f"unsupported family {spec.kind}")
 
 
 def enumerate_family(spec: FamilySpec) -> list[PartialMap]:
-    """All members of the family, sorted by canonical text encoding
-    (``_iter_family`` yields each member once)."""
-    return sorted(_iter_family(spec), key=lambda a: a.encode())
+    """All members of the family in canonical text order, as
+    :func:`iter_family` makes them."""
+    return [PartialMap.from_vector(v) for _, v in iter_family(spec)]
 
 
 # -- counting formulas ---------------------------------------------------
@@ -252,29 +260,34 @@ class Census:
     images: tuple[int, ...]
 
 
-def census(elements: Sequence[PartialMap]) -> Census:
-    """All the counts of :class:`Census` in one pass over the enumerated
-    SS'(n); ``count_rstar_classes`` and ``count_lstar_classes`` are the slow
-    references.  Idempotents are left to ``count_idempotents``, which tests
-    each map by squaring it."""
-    n = elements[0].n
-    kernels: list[set] = [set() for _ in range(n)]
-    images: list[set] = [set() for _ in range(n)]
-    for a in elements:
+def census(elements: Iterable[PartialMap]) -> Census:
+    """All the counts of :class:`Census` in one pass over SS'(n), listed or
+    streamed; ``count_rstar_classes`` and ``count_lstar_classes`` are the
+    slow references.  Idempotents are left to ``count_idempotents``, which
+    tests each map by squaring it."""
+    maps = iter(elements)
+    first = next(maps, None)
+    if first is None:
+        raise ValueError("census needs at least one map")
+    kernels: list[set] = [set() for _ in range(first.n)]
+    images: list[set] = [set() for _ in range(first.n)]
+    order = 0
+    for order, a in enumerate(itertools.chain((first,), maps), 1):
         image = a.image()
         kernels[len(image)].add(a.kernel_blocks())
         images[len(image)].add(image)
-    return Census(len(elements), tuple(map(len, kernels)), tuple(map(len, images)))
+    return Census(order, tuple(map(len, kernels)), tuple(map(len, images)))
 
 
 # -- distinguished generating sets ------------------------------------------
 
 
-def _idempotents_at(n: int, heights: Sequence[int]) -> dict[int, set[PartialMap]]:
-    """The idempotents of SS'(n) of each given height, from one walk of
+def _idempotents_at(n: int, lo: int, hi: int) -> dict[int, set[PartialMap]]:
+    """The idempotents of SS'(n) of each height lo..hi, from one scan of
     those heights; each map is tested by squaring it."""
-    found: dict[int, set[PartialMap]] = {p: set() for p in heights}
-    for a in _isotone_decreasing(n, tuple(range(2, n + 1)), heights):
+    found: dict[int, set[PartialMap]] = {p: set() for p in range(lo, hi + 1)}
+    for _, v in _scan(n, tuple(range(2, n + 1)), lo, hi):
+        a = PartialMap.from_vector(v)
         if a.is_idempotent():
             found[a.height()].add(a)
     return found
@@ -285,7 +298,7 @@ def generating_set_G(n: int, p: int) -> set[PartialMap]:
     if not 1 <= p <= n - 1:
         raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
     reqs = enumerate_family(FamilySpec(Family.REQUISITE, n, p))
-    return set(reqs) | _idempotents_at(n, (p,))[p]
+    return set(reqs) | _idempotents_at(n, p, p)[p]
 
 
 def ss_prime_minimal_generators(n: int) -> set[PartialMap]:
@@ -294,7 +307,7 @@ def ss_prime_minimal_generators(n: int) -> set[PartialMap]:
     idempotents other than the partial identity missing point 2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    idems = _idempotents_at(n, (n - 1, n - 2))
+    idems = _idempotents_at(n, n - 2, n - 1)
     reqs = set(enumerate_family(FamilySpec(Family.REQUISITE, n, n - 1)))
     return reqs | idems[n - 1] | (idems[n - 2] - {eps_1k(n, 2)})
 

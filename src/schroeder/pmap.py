@@ -9,7 +9,8 @@ is ``len(set(v)) - 1``.  Composition is left-to-right: ``x (a * b) =
 ((x)a)b``.  Padded with zeros to 256 bytes, ``v`` is a ``bytes.translate``
 table, so the vector of a*b is ``va.translate(tb)``, one C call: the one
 composition kernel, behind :func:`compose`, ``a * b``, ``is_idempotent``,
-:func:`closure` and the product rows of ``green.SemigroupTable``.
+:func:`closure` (through :func:`closure_vectors`) and the product rows of
+``green.SemigroupTable``.
 
 Maps are checked where they enter (``PartialMap(n, pairs)``, ``of``,
 ``empty``, ``from_vector`` and :func:`parse`); a product of valid vectors is
@@ -30,6 +31,7 @@ __all__ = [
     "ambient_size",
     "compose",
     "closure",
+    "closure_vectors",
     "member_ss_prime",
     "pseudo_inverse",
     "requisite",
@@ -237,11 +239,18 @@ def closure(generators: Iterable[PartialMap], universe=None) -> set[PartialMap]:
     elements as it holds are reached, so the result is exact only when the
     closure lies within ``universe``.
     """
+    stop_at = None if universe is None else len(set(universe))
+    return set(map(_wrap, closure_vectors(generators, stop_at)))
+
+
+def closure_vectors(generators: Iterable[PartialMap], stop_at: int | None = None) -> set[bytes]:
+    """The byte vectors of :func:`closure`, none wrapped in a map: half the
+    memory where only the closure's size is needed.  The search stops once
+    ``stop_at`` vectors are reached."""
     gens = list(generators)
     if not gens:
         return set()
     ambient_size(gens)
-    stop_at = None if universe is None else len(set(universe))
     seen = {a.vector for a in gens}
     tables = [_table(v) for v in seen]
     work = list(seen)
@@ -252,7 +261,7 @@ def closure(generators: Iterable[PartialMap], universe=None) -> set[PartialMap]:
             if c not in seen:
                 seen.add(c)
                 work.append(c)
-    return set(map(_wrap, seen))
+    return seen
 
 
 def member_ss_prime(a: PartialMap) -> bool:

@@ -32,6 +32,7 @@ from .pmap import (
     alpha_i,
     alpha_ik,
     closure,
+    closure_vectors,
     compose,
     eps_1k,
     is_requisite,
@@ -240,7 +241,7 @@ def rank_layered(
             return result, table
         if result.certified and table.zero_index not in result.generating_set:
             gens = [table.elements[i] for i in result.generating_set]
-            if len(closure(gens)) == sum(height_counts(n)[: top + 1]):
+            if len(closure_vectors(gens)) == sum(height_counts(n)[: top + 1]):
                 return result, table
         lo -= 1
 

@@ -51,6 +51,52 @@ def test_enumerate_n1_is_usage_error(capsys):
     assert "n >= 2" in err
 
 
+def enumerate_reference(kind, n, p, fmt):
+    """What ``enumerate`` printed when it held the family: print per map,
+    one json.dumps of the document, or csv rows of code and height."""
+    elements = schroeder.families.enumerate_family(schroeder.families.FamilySpec(kind, n, p))
+    out = io.StringIO()
+    if fmt == "text":
+        for a in elements:
+            print(a.encode(), file=out)
+    elif fmt == "json":
+        print(json.dumps({"family": kind.value, "n": n, "p": p,
+                          "elements": [a.encode() for a in elements]}), file=out)
+    else:
+        writer = csv.writer(out)
+        writer.writerow(["element", "height"])
+        for a in elements:
+            writer.writerow([a.encode(), a.height()])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_enumerate_streams_the_held_listing(capsys, fmt):
+    """Every family at n <= 6, each height where one is taken: the streamed
+    output is byte for byte the listing printed whole."""
+    for n in range(2, 7):
+        for kind in Family:
+            heights = [None] if kind not in schroeder.families._NEEDS_P else []
+            if kind in schroeder.families._NEEDS_P or kind is Family.IDEMPOTENTS:
+                heights += range(n)
+            for p in heights:
+                argv = ["enumerate", "--family", kind.value, "--n", str(n), "--format", fmt]
+                code, out, _ = run(capsys, *argv, *(["--p", str(p)] if p is not None else []))
+                assert code == 0
+                assert out == enumerate_reference(kind, n, p, fmt), (kind, n, p)
+
+
+def test_enumerate_holds_no_family(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("enumerate listed the family")
+
+    monkeypatch.setattr(schroeder.families, "enumerate_family", refuse)
+    for fmt in ("text", "json", "csv"):
+        code, out, _ = run(capsys, "enumerate", "--family", "ss-prime", "--n", "7",
+                           "--format", fmt)
+        assert code == 0 and out
+
+
 def test_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--family", "ss-prime", "--n", "13")
     assert code == 3
@@ -75,19 +121,26 @@ def test_invariants_pass(capsys):
 
 
 def test_invariants_enumerates_once(capsys, monkeypatch):
-    # SS'(n) once for the census, E(SS'(n)) once for count_idempotents
-    kinds = []
-    real = schroeder.families.enumerate_family
+    # the census streams SS'(n) once through iter_family, holding no list;
+    # count_idempotents lists E(SS'(n)) once
+    walked, listed = [], []
+    real_iter = schroeder.families.iter_family
+    real_enumerate = schroeder.families.enumerate_family
 
-    def counting(spec):
-        kinds.append(spec.kind)
-        return real(spec)
+    def iterating(spec):
+        walked.append(spec.kind)
+        return real_iter(spec)
 
-    monkeypatch.setattr(schroeder.cli, "enumerate_family", counting)
-    monkeypatch.setattr(schroeder.families, "enumerate_family", counting)
+    def listing(spec):
+        listed.append(spec.kind)
+        return real_enumerate(spec)
+
+    monkeypatch.setattr(schroeder.cli, "iter_family", iterating)
+    monkeypatch.setattr(schroeder.families, "enumerate_family", listing)
     code, _, _ = run(capsys, "invariants", "--n", "5")
     assert code == 0
-    assert kinds == [Family.SS_PRIME, Family.IDEMPOTENTS]
+    assert walked == [Family.SS_PRIME]
+    assert listed == [Family.IDEMPOTENTS]
 
 
 def test_invariants_csv_matches_json(capsys):
@@ -249,7 +302,7 @@ def test_rank_guard(capsys):
 
 def test_rank_guard_table_size(capsys):
     # SS'(12) has 13,648,869 maps, about 5 times as many as SS'(11), whose
-    # closure takes 22-30 s and 609 MB
+    # closure takes 20 s and 329 MB
     code, out, err = run(capsys, "rank", "--n", "12")
     assert code == 3
     assert out == ""
@@ -373,14 +426,14 @@ def test_verify_all_checks_abundance_of_ideals_and_quotients(capsys):
         assert statuses[f"quotient abundance n={n}"] == "PASS"
 
 
-@pytest.mark.parametrize("command", [
-    ("enumerate", "--family", "ss-prime"),
-    ("invariants",),
+@pytest.mark.parametrize("command, n", [
+    (("enumerate", "--family", "ss-prime"), 13),
+    (("invariants",), 11),
 ])
-def test_enumeration_guard_stops_past_the_measured_frontier(capsys, command):
-    # at n = 11 enumerate needs most of a minute and 680 MB, and invariants
-    # runs past a minute; n = 10 stays allowed
-    code, out, err = run(capsys, *command, "--n", "11")
+def test_enumeration_guard_stops_past_the_measured_frontier(capsys, command, n):
+    # enumerate streams each code as the scan reaches it and takes 72 s at
+    # n = 13; invariants takes 43 s at n = 11; the n below each stays allowed
+    code, out, err = run(capsys, *command, "--n", str(n))
     assert code == 3
     assert out == ""
     assert "--max-n" in err

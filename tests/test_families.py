@@ -18,8 +18,8 @@ from schroeder import (
     verify_identity_corollary,
 )
 import schroeder.families
-from schroeder.families import census, height_counts, ss_prime_minimal_generators
-from schroeder.pmap import all_partial_maps, eps_1k
+from schroeder.families import census, height_counts, iter_family, ss_prime_minimal_generators
+from schroeder.pmap import all_partial_maps, eps_1k, requisite_from_image
 
 
 def test_schroeder_small_values():
@@ -41,8 +41,9 @@ def test_enumeration_against_brute_force():
 
 @pytest.mark.parametrize("kind", list(Family))
 def test_enumeration_is_sorted_and_duplicate_free(kind):
-    """``enumerate_family`` sorts without deduplicating, so the family
-    generator itself must never repeat a map."""
+    """``enumerate_family`` lists the scan as it comes, neither sorting nor
+    deduplicating, so the scan itself must come sorted and never repeat a
+    map."""
     needs_p = kind in (Family.IDEAL_K, Family.JSTAR_SLICE, Family.REQUISITE)
     for n in range(2, 8):
         heights = list(range(n)) if needs_p or kind is Family.IDEMPOTENTS else []
@@ -54,10 +55,32 @@ def test_enumeration_is_sorted_and_duplicate_free(kind):
             assert len(set(codes)) == len(codes), (kind, n, p)
 
 
+def fill_images_reference(n, blocks):
+    """Every increasing choice of images a_1 < a_2 < ... with a_i <= min A_i
+    for the given consecutive blocks A_1, A_2, ... of a domain."""
+    mins = [b[0] for b in blocks]
+
+    def rec(i, lo, acc):
+        if i == len(blocks):
+            yield acc
+            return
+        for a in range(lo, mins[i] + 1):
+            yield from rec(i + 1, a + 1, acc + [a])
+
+    for images in rec(0, 1, []):
+        v = bytearray(n + 1)
+        for value, block in zip(images, blocks):
+            for d in block:
+                v[d] = value
+        yield PartialMap.from_vector(v)
+
+
 def full_walk_reference(n, domain_pool):
-    """Every isotone order-decreasing map with domain within the pool, by
-    domain size, domain, then number of blocks: the full walk, which each
-    family must equal once filtered by height."""
+    """Every isotone order-decreasing map with domain within the pool, from
+    the block-cut form: the kernel classes of an isotone map are consecutive
+    runs of its domain, so pick a domain, cut it into runs and fill in the
+    images.  Maps come by domain size, domain, then number of blocks: the
+    slow reference that each family, filtered by height, must equal."""
     yield PartialMap.empty(n)
     for r in range(1, len(domain_pool) + 1):
         for dom in itertools.combinations(domain_pool, r):
@@ -65,39 +88,64 @@ def full_walk_reference(n, domain_pool):
                 for cuts in itertools.combinations(range(1, r), k):
                     bounds = (0, *cuts, r)
                     blocks = [dom[bounds[i]:bounds[i + 1]] for i in range(k + 1)]
-                    yield from schroeder.families._fill_images(n, blocks)
+                    yield from fill_images_reference(n, blocks)
 
 
 def family_reference(walks, kind, n, p):
-    """Each family as the filter of one full walk, in the walk's order."""
+    """Each family as the filter of one full walk, sorted by ``encode()``."""
     ss_prime, ls = walks
     if kind is Family.SS_PRIME:
-        return ss_prime
-    if kind is Family.LS:
-        return ls
-    if kind is Family.SS:
-        return [a for a in ls if 1 in a.domain()]
-    if kind is Family.IDEAL_K:
-        return [a for a in ss_prime if a.height() <= p]
-    if kind is Family.JSTAR_SLICE:
-        return [a for a in ss_prime if a.height() == p]
-    if kind is Family.IDEMPOTENTS:
-        return [a for a in ss_prime if (p is None or a.height() == p) and a.is_idempotent()]
-    return list(schroeder.families._iter_family(FamilySpec(kind, n, p)))  # REQUISITE
+        members = ss_prime
+    elif kind is Family.LS:
+        members = ls
+    elif kind is Family.SS:
+        members = [a for a in ls if 1 in a.domain()]
+    elif kind is Family.IDEAL_K:
+        members = [a for a in ss_prime if a.height() <= p]
+    elif kind is Family.JSTAR_SLICE:
+        members = [a for a in ss_prime if a.height() == p]
+    elif kind is Family.IDEMPOTENTS:
+        members = [a for a in ss_prime if (p is None or a.height() == p) and a.is_idempotent()]
+    else:  # REQUISITE: one per image {1} + (p-1 points of {2..n})
+        members = [requisite_from_image(n, (1, *rest))
+                   for rest in itertools.combinations(range(2, n + 1), p - 1)] if p else []
+    return sorted(members, key=lambda a: a.encode())
+
+
+def assert_scan_matches_reference(walks, kind, n, p):
+    """The scan lists the reference in ``encode()`` order, and each code it
+    builds from its parent's is the encoding of the map it comes with."""
+    pairs = list(iter_family(FamilySpec(kind, n, p)))
+    want = family_reference(walks, kind, n, p)
+    assert [PartialMap.from_vector(v) for _, v in pairs] == want, (kind, n, p)
+    assert [code for code, _ in pairs] == [a.encode() for a in want], (kind, n, p)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_height_slices_match_the_filtered_full_walk(n):
-    """Generating only the asked heights yields the same maps in the same
-    order as filtering the full walk, for every family and height."""
+    """Generating only the asked heights yields the filtered full walk in
+    canonical text order, for every family and height."""
     walks = [list(full_walk_reference(n, pool)) for pool in (range(2, n + 1), range(1, n + 1))]
     for kind in Family:
         heights = [None] if kind not in schroeder.families._NEEDS_P else []
         if kind in schroeder.families._NEEDS_P or kind is Family.IDEMPOTENTS:
             heights += range(n)
         for p in heights:
-            got = list(schroeder.families._iter_family(FamilySpec(kind, n, p)))
-            assert got == family_reference(walks, kind, n, p), (kind, p)
+            assert_scan_matches_reference(walks, kind, n, p)
+            assert enumerate_family(FamilySpec(kind, n, p)) == family_reference(walks, kind, n, p)
+
+
+@pytest.mark.long
+def test_scan_order_with_two_digit_points():
+    """At n = 10 points and values reach two digits, so the text order puts
+    "10:" before "1:" and "2:", and "1" before "10" and "2"; 1 is in the
+    domain of LS.  Codes only: each code is checked against ``encode()`` at
+    n <= 7, and SS'(10) is the part of LS(10) whose code avoids "1:"."""
+    ls = sorted(a.encode() for a in full_walk_reference(10, range(1, 11)))
+    ss_prime = [code for code in ls if not code.startswith("1:")]
+    for kind, want in ((Family.LS, ls), (Family.SS_PRIME, ss_prime)):
+        got = [code for code, _ in iter_family(FamilySpec(kind, 10))]
+        assert got == want, kind
 
 
 def test_small_family_listing():
@@ -227,6 +275,17 @@ def test_census_matches_count_references():
         assert counts.images[1:] == tuple(count_lstar_classes(n, p) for p in range(1, n))
 
 
+def test_census_takes_a_stream():
+    """The census reads any iterable once, so a scan can feed it without
+    the family being held; an empty one has no n to count over."""
+    for n in (2, 5):
+        spec = FamilySpec(Family.SS_PRIME, n)
+        streamed = census(PartialMap.from_vector(v) for _, v in iter_family(spec))
+        assert streamed == census(enumerate_family(spec))
+    with pytest.raises(ValueError):
+        census(iter(()))
+
+
 def minimal_generators_reference(n):
     """The 3n-4 minimum generators as G(n, n-1) plus G(n, n-2) less its
     requisites and the partial identity missing point 2, each G(n,p) read
@@ -252,12 +311,12 @@ def test_minimal_generators_match_reference(n):
 
 def test_minimal_generators_walk_once(monkeypatch):
     walks = []
-    real = schroeder.families._isotone_decreasing
+    real = schroeder.families._scan
 
-    def counting(n, domain_pool, heights):
-        walks.append((n, domain_pool, sorted(heights)))
-        return real(n, domain_pool, heights)
+    def counting(n, domain_pool, lo, hi):
+        walks.append((n, domain_pool, lo, hi))
+        return real(n, domain_pool, lo, hi)
 
-    monkeypatch.setattr(schroeder.families, "_isotone_decreasing", counting)
+    monkeypatch.setattr(schroeder.families, "_scan", counting)
     ss_prime_minimal_generators(6)
-    assert walks == [(6, (2, 3, 4, 5, 6), [4, 5])]
+    assert walks == [(6, (2, 3, 4, 5, 6), 4, 5)]

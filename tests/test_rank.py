@@ -23,7 +23,7 @@ from schroeder import (
     verify_theorem_hq,
 )
 from schroeder.green import build_table, target_table
-from schroeder.pmap import all_partial_maps
+from schroeder.pmap import all_partial_maps, closure_vectors
 import schroeder.rank
 from schroeder.rank import _factor_constraints, _minimal_constraints, rank_layered
 
@@ -144,7 +144,7 @@ def test_layered_rank_steps_down_to_height_n_minus_2(n):
 def test_layered_rank_falls_back_to_the_whole_target(table, monkeypatch):
     """When no layer's generating set closes to the target, lo steps down
     to 0 and the whole target's oracle decides."""
-    monkeypatch.setattr(schroeder.rank, "closure", lambda gens: set())
+    monkeypatch.setattr(schroeder.rank, "closure_vectors", lambda gens: set())
     result, t = rank_layered(5, "ideal", 3)
     assert t.collapse_below is None and len(t) == len(table(5, 3))
     assert result == rank_oracle(table(5, 3))
@@ -164,6 +164,7 @@ def test_closure_basics():
     # a, a^2 = {3->1}, a^3 = empty
     assert got == {a, PartialMap.of(3, {3: 1}), PartialMap.empty(3)}
     assert closure([]) == set()
+    assert closure_vectors([]) == set()
 
 
 def closure_reference(generators):
@@ -205,6 +206,7 @@ def test_closure_matches_compose_reference_on_ss_prime(ss, n):
         expected = closure_reference(gens)
         assert closure(gens) == expected
         assert closure(gens, universe=universe) == expected
+        assert closure_vectors(gens) == {a.vector for a in expected}
 
 
 def test_closure_rejects_mixed_or_oversized_n():
