@@ -9,8 +9,10 @@ max(vk,1) <= v <= d, so every prefix is itself an isotone order-decreasing
 map.  The scan visits the children of a prefix in text order and emits each
 prefix before them, so it lists a family in canonical text order (that of
 ``encode()``) with no sort, building each code once from its parent's.
-Heights outside the asked range are pruned.  ``iter_family`` streams the
-(code, vector) pairs; ``enumerate_family`` lists the maps.
+Heights outside the asked range are pruned.  ``iter_heights`` scans
+SS'(n) between two heights, the band every family of SS'(n) and every
+target table of ``green`` is read from; ``iter_family`` streams the
+(code, vector) pairs of a family; ``enumerate_family`` lists the maps.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "FamilySpec",
     "enumerate_family",
     "iter_family",
+    "iter_heights",
     "schroeder_small",
     "binom",
     "count_idempotents",
@@ -115,35 +118,45 @@ def _scan(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[tuple[str
                 push((code + tok, vec[:d] + tail, grandchildren, g))
 
 
+def iter_heights(n: int, lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
+    """The code and byte vector of every member of SS'(n) of height lo..hi,
+    in canonical text order."""
+    return _scan(n, tuple(range(2, n + 1)), lo, hi)
+
+
+def _idempotents(n: int, lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
+    """The members of SS'(n) of height lo..hi that are idempotent: each
+    scanned vector, padded to a ``bytes.translate`` table, is squared once."""
+    pad = bytes(255 - n)
+    return ((code, v) for code, v in iter_heights(n, lo, hi) if v.translate(v + pad) == v)
+
+
 def iter_family(spec: FamilySpec) -> Iterator[tuple[str, bytes]]:
     """The canonical code and byte vector of each member of the family, in
     canonical text order, made as the scan reaches it, so no member is held;
     only the requisites, C(n-1,p-1) of them, are made first and sorted."""
     n, p = spec.n, spec.p
-    avoiding_1 = tuple(range(2, n + 1))
     if spec.kind is Family.SS_PRIME:
-        yield from _scan(n, avoiding_1, 0, n - 1)
+        yield from iter_heights(n, 0, n - 1)
     elif spec.kind is Family.LS:
-        yield from _scan(n, (1, *avoiding_1), 0, n)
+        yield from _scan(n, tuple(range(1, n + 1)), 0, n)
     elif spec.kind is Family.SS:
-        for code, v in _scan(n, (1, *avoiding_1), 0, n):
+        for code, v in _scan(n, tuple(range(1, n + 1)), 0, n):
             if v[1]:
                 yield code, v
     elif spec.kind is Family.IDEAL_K:
-        yield from _scan(n, avoiding_1, 0, p)
+        yield from iter_heights(n, 0, p)
     elif spec.kind is Family.JSTAR_SLICE:
-        yield from _scan(n, avoiding_1, p, p)
+        yield from iter_heights(n, p, p)
     elif spec.kind is Family.IDEMPOTENTS:
         lo, hi = (0, n - 1) if p is None else (p, p)
-        for code, v in _scan(n, avoiding_1, lo, hi):
-            if PartialMap.from_vector(v).is_idempotent():
-                yield code, v
+        yield from _idempotents(n, lo, hi)
     elif spec.kind is Family.REQUISITE:
         if p == 0:
             return
         # one requisite per image {1} + (p-1 points of {2..n})
         reqs = (requisite_from_image(n, (1, *rest))
-                for rest in itertools.combinations(avoiding_1, p - 1))
+                for rest in itertools.combinations(range(2, n + 1), p - 1))
         yield from sorted((a.encode(), a.vector) for a in reqs)
     else:  # pragma: no cover
         raise ValueError(f"unsupported family {spec.kind}")
@@ -186,7 +199,8 @@ def binom(m: int, k: int) -> int:
 
 
 def count_idempotents(n: int) -> int:
-    return len(enumerate_family(FamilySpec(Family.IDEMPOTENTS, n)))
+    """The idempotents of SS'(n), counted as the scan makes them."""
+    return sum(1 for _ in iter_family(FamilySpec(Family.IDEMPOTENTS, n)))
 
 
 def formula_idempotents(n: int) -> int:
@@ -284,12 +298,11 @@ def census(elements: Iterable[PartialMap]) -> Census:
 
 def _idempotents_at(n: int, lo: int, hi: int) -> dict[int, set[PartialMap]]:
     """The idempotents of SS'(n) of each height lo..hi, from one scan of
-    those heights; each map is tested by squaring it."""
+    those heights."""
     found: dict[int, set[PartialMap]] = {p: set() for p in range(lo, hi + 1)}
-    for _, v in _scan(n, tuple(range(2, n + 1)), lo, hi):
+    for _, v in _idempotents(n, lo, hi):
         a = PartialMap.from_vector(v)
-        if a.is_idempotent():
-            found[a.height()].add(a)
+        found[a.height()].add(a)
     return found
 
 

@@ -18,10 +18,8 @@ from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
 
 from .families import (
-    Family,
-    FamilySpec,
-    enumerate_family,
     generating_set_G,
+    iter_heights,
     schroeder_small,
     ss_prime_minimal_generators,
 )
@@ -92,12 +90,12 @@ class SemigroupTable:
     collapse_below: int | None
 
     _index: dict = field(repr=False)
-    _tables: list = field(default=None, repr=False)  # translate tables, lazy
-    _classes: list = field(default=None, repr=False)  # class-compressed rows, lazy
-    _rows: list = field(default=None, repr=False)  # full product table, lazy
-    _gens: list = field(default=None, repr=False)  # generating set, lazy
-    _right: list = field(default=None, repr=False)  # right Cayley graph, lazy
-    _left: list = field(default=None, repr=False)  # left Cayley graph, lazy
+    _tables: list = field(default=None, init=False, repr=False)  # translate tables, lazy
+    _classes: list = field(default=None, init=False, repr=False)  # class-compressed rows, lazy
+    _rows: list = field(default=None, init=False, repr=False)  # full product table, lazy
+    _gens: list = field(default=None, init=False, repr=False)  # generating set, lazy
+    _right: list = field(default=None, init=False, repr=False)  # right Cayley graph, lazy
+    _left: list = field(default=None, init=False, repr=False)  # left Cayley graph, lazy
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -110,8 +108,7 @@ class SemigroupTable:
             raise KeyError(f"element {a.encode()} not in table") from None
 
     def product(self, i: int, j: int) -> int:
-        class_of, _, composed = self.class_rows()[i]
-        return composed[class_of[j]]
+        return self.products(i, (j,))[0]
 
     def _translate_tables(self) -> list:
         """Each element's ``bytes.translate`` table, None for the zero."""
@@ -228,7 +225,7 @@ class SemigroupTable:
         return self._left
 
     def idempotent_indices(self) -> list[int]:
-        return [i for i in range(len(self)) if self.products(i, (i,))[0] == i]
+        return [i for i in range(len(self)) if self.product(i, i) == i]
 
 
 def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
@@ -287,42 +284,33 @@ def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[list[int
     return gens, right
 
 
-def build_table(
-    elements: Iterable[PartialMap],
-    adjoin_zero: bool = False,
-    collapse_below: int | None = None,
-    verify: bool = True,
-    canonical: bool = False,
-) -> SemigroupTable:
-    """Intern an element set, checking closure (optionally under collapse).
-
-    With ``collapse_below = p`` every product of height < p is identified
-    with the zero, realizing a Rees quotient; this forces ``adjoin_zero``.
-    Closure is checked by building the right Cayley graph, which raises on
-    a missing product.  With ``verify=False`` that check happens on
-    first use instead: a product table or Cayley graph raises then.
-    The elements are indexed in order of ``encode()``; ``canonical=True``
-    says they already come so, without repeats (as ``enumerate_family``
-    returns them), and skips the sort.
-    """
-    if canonical:
-        elems = list(elements)
-    else:
-        elems = sorted(set(elements), key=lambda a: a.encode())
+def _intern(elems: list[PartialMap], collapse_below: int | None) -> SemigroupTable:
+    """The unverified table of ``elems``, indexed in their order, after the
+    zero of the Rees quotient when ``collapse_below`` is given."""
     if not elems:
         raise ValueError("empty element set")
     n = ambient_size(elems)
-    if collapse_below is not None:
-        adjoin_zero = True
-    listing: list = ([ZERO] if adjoin_zero else []) + elems
+    listing: list = elems if collapse_below is None else [ZERO, *elems]
     index = {a if a is ZERO else a.vector: i for i, a in enumerate(listing)}
-    table = SemigroupTable(
-        n=n,
-        elements=listing,
-        zero_index=0 if adjoin_zero else None,
-        collapse_below=collapse_below,
-        _index=index,
-    )
+    zero_index = None if collapse_below is None else 0
+    return SemigroupTable(n, listing, zero_index, collapse_below, index)
+
+
+def build_table(
+    elements: Iterable[PartialMap],
+    collapse_below: int | None = None,
+    verify: bool = True,
+) -> SemigroupTable:
+    """Intern an element set, checking closure (optionally under collapse).
+
+    The elements are indexed in order of ``encode()``.  With
+    ``collapse_below = p`` a zero is adjoined and every product of height
+    < p is identified with it, realizing a Rees quotient.  Closure is
+    checked by building the right Cayley graph, which raises on a missing
+    product.  With ``verify=False`` that check happens on first use
+    instead: a product table or Cayley graph raises then.
+    """
+    table = _intern(sorted(set(elements), key=lambda a: a.encode()), collapse_below)
     if verify:
         table.right_cayley()  # raises on the first missing product
     return table
@@ -337,8 +325,8 @@ def target_table(n: int, target: str, p: int | None = None, lo: int | None = Non
     "ss-prime" and p otherwise, and lo defaults to the target's own least
     height: 0, or p for "quotient".  For lo >= 1 every product of height
     below lo is the zero, so the table is the Rees quotient of the target
-    by its ideal K(n,lo-1).  It is built from the height slices it holds,
-    so no other map is enumerated.
+    by its ideal K(n,lo-1).  It is one scan of those heights, interned in
+    the order it comes, which is that of ``encode()``; no other map is made.
     """
     if target not in ("ss-prime", "ideal", "quotient"):
         raise ValueError(f"unknown target {target!r}")
@@ -355,14 +343,8 @@ def target_table(n: int, target: str, p: int | None = None, lo: int | None = Non
         lo = least
     elif not least <= lo <= top:
         raise ValueError(f"target {target!r} has heights {least}..{top}, not {lo}")
-    if lo == 0:
-        return build_table(
-            enumerate_family(FamilySpec(Family.IDEAL_K, n, top)), verify=False, canonical=True
-        )
-    slices = [enumerate_family(FamilySpec(Family.JSTAR_SLICE, n, h)) for h in range(lo, top + 1)]
-    return build_table(
-        chain.from_iterable(slices), collapse_below=lo, verify=False, canonical=len(slices) == 1
-    )
+    band = [PartialMap.from_vector(v) for _, v in iter_heights(n, lo, top)]
+    return _intern(band, lo or None)
 
 
 @dataclass(frozen=True)

@@ -229,24 +229,19 @@ def compose(a: PartialMap, b: PartialMap) -> PartialMap:
     return _wrap(a.vector.translate(_table(b.vector)))
 
 
-def closure(generators: Iterable[PartialMap], universe=None) -> set[PartialMap]:
+def closure(generators: Iterable[PartialMap]) -> set[PartialMap]:
     """Least composition-closed superset of the generators.
 
     Worklist search over right multiplication by the generators, so every
     product g1 g2 ... gk is reached left to right; each generator's table is
     built once.  The generators must share one n, else ValueError.
-    ``universe``, when given, is used only for an early exit once as many
-    elements as it holds are reached, so the result is exact only when the
-    closure lies within ``universe``.
     """
-    stop_at = None if universe is None else len(set(universe))
-    return set(map(_wrap, closure_vectors(generators, stop_at)))
+    return set(map(_wrap, closure_vectors(generators)))
 
 
-def closure_vectors(generators: Iterable[PartialMap], stop_at: int | None = None) -> set[bytes]:
+def closure_vectors(generators: Iterable[PartialMap]) -> set[bytes]:
     """The byte vectors of :func:`closure`, none wrapped in a map: half the
-    memory where only the closure's size is needed.  The search stops once
-    ``stop_at`` vectors are reached."""
+    memory where only the closure's size is needed."""
     gens = list(generators)
     if not gens:
         return set()
@@ -254,7 +249,7 @@ def closure_vectors(generators: Iterable[PartialMap], stop_at: int | None = None
     seen = {a.vector for a in gens}
     tables = [_table(v) for v in seen]
     work = list(seen)
-    while work and len(seen) != stop_at:
+    while work:
         v = work.pop()
         for t in tables:
             c = v.translate(t)

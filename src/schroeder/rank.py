@@ -14,7 +14,6 @@ certified set generates the whole target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .families import (
@@ -101,18 +100,6 @@ class RankResult:
     certified: bool
     generating_set: tuple[int, ...]
     notes: str = ""
-
-    def to_json(self, table: SemigroupTable) -> str:
-        elements = table.elements
-        return json.dumps(
-            {
-                "rank": self.rank,
-                "certified": self.certified,
-                "essential": sorted(elements[i].encode() for i in self.essential),
-                "generating_set": sorted(elements[i].encode() for i in self.generating_set),
-                "notes": self.notes,
-            }
-        )
 
 
 def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
@@ -339,7 +326,7 @@ def verify_theorem_hq(n: int) -> bool:
     ss = enumerate_family(FamilySpec(Family.SS_PRIME, n))
     idems = [a for a in ss if a.is_idempotent()]
     avoid1 = {a for a in ss if 1 not in a.image()}
-    if not avoid1 <= closure(idems, ss):
+    if not avoid1 <= closure(idems):
         return False
     reqs = [a for a in ss if is_requisite(a)]
-    return closure(idems + reqs, ss) == set(ss)
+    return closure(idems + reqs) == set(ss)

@@ -226,6 +226,39 @@ def test_layer_tables_match_the_filtered_semigroup(ss, n):
                 assert got.class_rows() == want.class_rows(), (target, p, lo)
 
 
+def test_target_table_is_one_scan_and_sorts_nothing(monkeypatch):
+    """Every target and lo at n <= 6: one scan of heights lo..top, and no
+    ``encode()`` call, so no sort by it."""
+    green_module = importlib.import_module("schroeder.green")
+    iter_heights = green_module.iter_heights
+    scans = []
+
+    def counted(n, lo, hi):
+        scans.append((n, lo, hi))
+        return iter_heights(n, lo, hi)
+
+    def refuse(self):
+        raise AssertionError("target_table called encode()")
+
+    monkeypatch.setattr(green_module, "iter_heights", counted)
+    monkeypatch.setattr(PartialMap, "encode", refuse)
+    for n in range(2, 7):
+        cases = [("ss-prime", None, n - 1)]
+        cases += [(t, p, p) for t in ("ideal", "quotient") for p in range(1, n)]
+        for target, p, top in cases:
+            for lo in range(p if target == "quotient" else 0, top + 1):
+                scans.clear()
+                target_table(n, target, p, lo)
+                assert scans == [(n, lo, top)], (target, p, lo)
+
+
+def test_product_builds_no_class_rows(ss):
+    t = build_table(ss(5))
+    a, b = ss(5)[7], ss(5)[30]
+    assert t.elements[t.product(t.index_of(a), t.index_of(b))] == a * b
+    assert t._classes is None
+
+
 def test_target_table_rejects_heights_outside_the_target():
     with pytest.raises(ValueError, match="heights 2..2, not 1"):
         target_table(4, "quotient", 2, 1)
