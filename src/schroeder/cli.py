@@ -61,9 +61,9 @@ GREEN_IDEAL_GUARD = 8
 # the whole target: SS'(11) takes 20 s and 329 MB on a 2-vCPU VM, and
 # SS'(12) runs past 60 s
 RANK_GUARD = 11
-# ideals and quotients run the oracle on the quotient at height p itself:
-# quotients (9,3) and (9,4) take about 1 GB
-RANK_QUOTIENT_GUARD = 8
+# ideals and quotients run the oracle on the quotient at height p itself: on a
+# 2-vCPU VM every one at n=9 takes at most 23 s and 724 MB, ideal (9,4) the most
+RANK_QUOTIENT_GUARD = 9
 DEFINITIONAL_GUARD = 5
 # verify-all runs every check up to n-max: --n-max 8 takes 20.4 s and 152 MB
 # on a 2-vCPU VM
@@ -100,12 +100,8 @@ def cmd_enumerate(args) -> int:
     guard = args.max_n if args.max_n is not None else ENUMERATE_GUARD
     if args.n > guard:
         return _fail_guard(f"enumeration too large at n={args.n}; raise --max-n")
-    try:
-        spec = FamilySpec(Family(args.family), args.n, args.p)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     # each member is written as the scan reaches it; the family is never held
-    members = iter_family(spec)
+    members = iter_family(FamilySpec(Family(args.family), args.n, args.p))
     out = sys.stdout
     if args.format == "text":
         for batch in _batches(code for code, _ in members):
@@ -205,15 +201,12 @@ def cmd_green(args) -> int:
     if args.n > guard:
         mode = "classical relations" if classical else f"{args.mode} mode"
         return _fail_guard(f"{mode} guarded at n={guard}{why}")
-    try:
-        table = target_table(args.n, args.target, args.p)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    table = target_table(args.n, args.target, args.p)
     agrees = True
     if classical:
         part = green(table, args.relation)
     elif args.mode == "definitional":
-        part = starred_definitional(table, args.relation, max_size=10**9)
+        part = starred_definitional(table, args.relation)
         agrees = part == starred_characterized(table, args.relation)
         print(f"agreement with characterized: {agrees}")
     else:
@@ -356,7 +349,7 @@ def _verify_rows(n_max: int, long: bool):
             add(
                 f"starred agreement n={n}",
                 lambda table=table: all(
-                    starred_definitional(table, w, max_size=10**9)
+                    starred_definitional(table, w)
                     == starred_characterized(table, w)
                     for w in ("Lstar", "Rstar")
                 ),

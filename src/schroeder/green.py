@@ -498,9 +498,7 @@ def regular_indices(table: SemigroupTable) -> list[int]:
 # -- starred relations ----------------------------------------------------
 
 
-def starred_definitional(
-    table: SemigroupTable, which: Literal["Lstar", "Rstar"], max_size: int = 250
-) -> EqPartition:
+def starred_definitional(table: SemigroupTable, which: Literal["Lstar", "Rstar"]) -> EqPartition:
     """L* / R* straight from the cancellation biconditional over S^1.
 
     a L* b iff for all x, y in S^1: ax = ay <=> bx = by; equivalently the
@@ -508,14 +506,9 @@ def starred_definitional(
     fingerprint that equivalence per element and group.  The formal identity
     of S^1 is virtual (index -1), never materialized as a map.
     """
-    size = len(table)
-    if size > max_size:
-        raise ValueError(
-            f"definitional starred check guarded at {max_size} elements "
-            f"(got {size}); use starred_characterized or raise the guard"
-        )
     if which not in ("Lstar", "Rstar"):
         raise ValueError(f"definitional variant only for Lstar/Rstar, got {which!r}")
+    size = len(table)
     rows = table.full_table()
     s1 = [-1] + list(range(size))  # -1 is the adjoined identity
 

@@ -5,9 +5,9 @@ The rank oracle is independent of the closed-form results it checks: it
 collects the *essential* elements (those admitting no factorization avoiding
 themselves, hence forced into every generating set), verifies that they
 generate, and only then certifies the minimum.  When they do not generate,
-it bounds the rank below by the essentials plus a count of pairwise disjoint
-factor constraints, and certifies one generator per constraint only when
-that set meets the bound and generates.  ``rank_layered`` runs the oracle on
+it bounds the rank below by the essentials plus a greedy packing of pairwise
+disjoint factor constraints, and certifies one generator per packed
+constraint when that set generates.  ``rank_layered`` runs the oracle on
 the top-layer Rees quotient of a target first, and keeps its rank when the
 certified set generates the whole target.
 """
@@ -102,8 +102,9 @@ class RankResult:
     notes: str = ""
 
 
-def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
-    """Necessary-membership constraints on any generating set A.
+def _factor_constraints(table: SemigroupTable, essential: set[int]) -> list[frozenset]:
+    """The necessary-membership constraints on any generating set A that
+    avoid the given essentials.
 
     Take a shortest expression s = g1 ... gk over A of an element s not in
     A; then k >= 2, the prefix u = g1...g_{k-1} and the suffix v = g2...gk
@@ -115,11 +116,12 @@ def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
     essentials therefore adds its count to a sound lower bound on the rank.
     The zero of a Rees quotient gets no constraints: nearly every product
     there is the zero, and any subset of the constraints still bounds the
-    rank below.
+    rank below.  Each constraint that meets the essentials is dropped
+    before it is frozen, and each predecessor set is released once emitted.
     """
     size, zi = len(table), table.zero_index
-    pred_right: list[set[int]] = [set() for _ in range(size)]
-    pred_left: list[set[int]] = [set() for _ in range(size)]
+    pred_right: list[set[int] | None] = [set() for _ in range(size)]
+    pred_left: list[set[int] | None] = [set() for _ in range(size)]
     for u, (_, members, composed) in enumerate(table.class_rows()):
         for c, s in enumerate(composed):
             if s != u and s != zi:
@@ -133,30 +135,28 @@ def _factor_constraints(table: SemigroupTable) -> list[frozenset]:
     for s in range(size):
         if s == zi:
             continue
-        out.append(frozenset({s}) | frozenset(pred_right[s]))
-        out.append(frozenset({s}) | frozenset(pred_left[s]))
+        for preds in (pred_right, pred_left):
+            pred = preds[s]
+            preds[s] = None
+            pred.add(s)
+            if pred.isdisjoint(essential):
+                out.append(frozenset(pred))
     return out
 
 
-def _disjoint_packing(constraints: list[frozenset]) -> int:
-    """Greedy count of pairwise disjoint constraints: each needs its own
-    hitter, so this lower-bounds any hitting set."""
+def _disjoint_packing(constraints: list[frozenset]) -> list[frozenset]:
+    """Pairwise disjoint constraints, picked greedily by size: each needs
+    its own hitter, so their count lower-bounds any hitting set.  A
+    constraint that strictly contains another is sorted after it and meets
+    that one or whatever blocked it, so only minimal constraints are picked.
+    """
     used: set[int] = set()
-    count = 0
+    packed = []
     for c in sorted(constraints, key=len):
-        if not (c & used):
+        if used.isdisjoint(c):
             used |= c
-            count += 1
-    return count
-
-
-def _minimal_constraints(constraints: list[frozenset]) -> list[frozenset]:
-    """Drop duplicates and supersets (hitting a subset implies the superset)."""
-    minimal: list[frozenset] = []
-    for c in sorted(set(constraints), key=len):
-        if not any(m <= c for m in minimal):
-            minimal.append(c)
-    return minimal
+            packed.append(c)
+    return packed
 
 
 def rank_oracle(table: SemigroupTable) -> RankResult:
@@ -166,11 +166,11 @@ def rank_oracle(table: SemigroupTable) -> RankResult:
     forced into every generating set; when they generate, the rank is their
     count.  Otherwise the first/last factor constraints that avoid the
     essentials each need a generator outside them, so the essentials plus a
-    greedy count of pairwise disjoint minimal constraints is a sound lower
-    bound.  The candidate is the essentials plus the least index of each
-    minimal constraint; it is certified when its size meets the bound and it
-    generates the table.  Otherwise the result is honestly uncertified and
-    ``notes`` carries the bound.
+    greedy packing of pairwise disjoint constraints is a sound lower bound.
+    The candidate is the essentials plus the least index of each packed
+    constraint, so its size is the bound; it is certified when it generates
+    the table.  Otherwise the result is honestly uncertified and ``notes``
+    carries the bound.
     """
     size = len(table)
     essential = essential_elements(table)
@@ -181,14 +181,11 @@ def rank_oracle(table: SemigroupTable) -> RankResult:
             certified=True,
             generating_set=tuple(sorted(essential)),
         )
-    minimal = _minimal_constraints(
-        [c for c in _factor_constraints(table) if not (c & essential)]
-    )
-    lower = len(essential) + _disjoint_packing(minimal)
-    candidate = essential | {min(c) for c in minimal}
-    if len(candidate) == lower and len(closure_indices(table, candidate)) == size:
+    packed = _disjoint_packing(_factor_constraints(table, essential))
+    candidate = essential | {min(c) for c in packed}
+    if len(closure_indices(table, candidate)) == size:
         return RankResult(
-            rank=lower,
+            rank=len(candidate),
             essential=frozenset(essential),
             certified=True,
             generating_set=tuple(sorted(candidate)),
@@ -198,7 +195,7 @@ def rank_oracle(table: SemigroupTable) -> RankResult:
         essential=frozenset(essential),
         certified=False,
         generating_set=(),
-        notes=f"lower bound {lower} (disjoint constraints); no generating set of that size found",
+        notes=f"lower bound {len(candidate)} (disjoint constraints); no generating set of that size found",
     )
 
 

@@ -311,15 +311,14 @@ def test_rank_guard_table_size(capsys):
 
 def test_rank_ideal_guard(capsys):
     # ideals and quotients run the oracle on the quotient at height p, which
-    # takes about 1 GB at (9,3) and (9,4), so both stop at n = 8; the whole
-    # SS'(9) as an ideal still runs past the guard
+    # takes up to 23 s and 724 MB at n = 9, so both stop at n = 10; the whole
+    # SS'(9) as an ideal runs within the guard
     for target in ("ideal", "quotient"):
-        code, out, err = run(capsys, "rank", "--target", target, "--n", "9", "--p", "4")
+        code, out, err = run(capsys, "rank", "--target", target, "--n", "10", "--p", "4")
         assert code == 3
         assert out == ""
-        assert "guarded at n=8" in err and "103,049" in err and "--max-n" in err
-    code, out, _ = run(capsys, "rank", "--target", "ideal", "--n", "9", "--p", "8",
-                       "--max-n", "9")
+        assert "guarded at n=9" in err and "518,859" in err and "--max-n" in err
+    code, out, _ = run(capsys, "rank", "--target", "ideal", "--n", "9", "--p", "8")
     assert code == 0
     assert out.startswith("rank: 23 (formula 23) PASS")
 

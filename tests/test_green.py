@@ -338,14 +338,7 @@ def test_starred_definitional_matches_characterized(table):
 def test_starred_definitional_matches_characterized_n5(table):
     t = table(5)
     for which in ("Lstar", "Rstar"):
-        assert starred_definitional(t, which, max_size=250) == starred_characterized(
-            t, which
-        )
-
-
-def test_starred_definitional_guard(table):
-    with pytest.raises(ValueError, match="guard"):
-        starred_definitional(table(5), "Lstar", max_size=100)
+        assert starred_definitional(t, which) == starred_characterized(t, which)
 
 
 def test_starred_relations_on_quotient(table):
@@ -431,8 +424,8 @@ def test_starred_characterized_matches_definitional_on_ideals_and_quotients(tabl
     """At every (n, p) with n <= 6: the characterized L* and R* are the
     definitional ones, H* is their intersection and D* their join."""
     t = table(*case)
-    lstar = starred_definitional(t, "Lstar", max_size=10**9)
-    rstar = starred_definitional(t, "Rstar", max_size=10**9)
+    lstar = starred_definitional(t, "Lstar")
+    rstar = starred_definitional(t, "Rstar")
     assert starred_characterized(t, "Lstar") == lstar
     assert starred_characterized(t, "Rstar") == rstar
     hstar = EqPartition.from_keys(list(zip(lstar.class_id, rstar.class_id)))
@@ -458,8 +451,8 @@ def test_ideals_and_quotients_right_but_not_left_abundant(table, case):
     none, the witness that ``abundance_report`` names."""
     t = table(*case)
     idempotents = set(t.idempotent_indices())
-    rstar = starred_definitional(t, "Rstar", max_size=10**9)
-    lstar = starred_definitional(t, "Lstar", max_size=10**9)
+    rstar = starred_definitional(t, "Rstar")
+    lstar = starred_definitional(t, "Lstar")
     assert all(idempotents & set(members) for members in rstar.classes)
     witnesses = [members for members in lstar.classes if not idempotents & set(members)]
     assert witnesses

@@ -7,6 +7,7 @@ from schroeder import (
     Family,
     FamilySpec,
     PartialMap,
+    RankResult,
     closure,
     closure_indices,
     enumerate_family,
@@ -25,7 +26,7 @@ from schroeder import (
 from schroeder.green import build_table, target_table
 from schroeder.pmap import all_partial_maps, closure_vectors
 import schroeder.rank
-from schroeder.rank import _factor_constraints, _minimal_constraints, rank_layered
+from schroeder.rank import _factor_constraints, rank_layered
 
 
 # -- slow references on the full |S|^2 product table ----------------------
@@ -66,6 +67,41 @@ def factor_constraints_reference(table):
     return out
 
 
+def minimal_constraints(constraints):
+    """Drop duplicates and supersets (hitting a subset implies the superset)."""
+    minimal = []
+    for c in sorted(set(constraints), key=len):
+        if not any(m <= c for m in minimal):
+            minimal.append(c)
+    return minimal
+
+
+def rank_oracle_reference(table):
+    """The oracle on the entry-by-entry references, with every step spelled
+    out: the minimal constraints that avoid the essentials, a greedy count
+    of pairwise disjoint ones for the bound, one pick per minimal
+    constraint, and a check that the picks meet the bound."""
+    size = len(table)
+    essential = essential_reference(table)
+    if essential and len(closure_indices(table, essential)) == size:
+        return RankResult(len(essential), frozenset(essential), True, tuple(sorted(essential)))
+    minimal = minimal_constraints(
+        [c for c in factor_constraints_reference(table) if not (c & essential)]
+    )
+    used, lower = set(), len(essential)
+    for c in minimal:
+        if not (c & used):
+            used |= c
+            lower += 1
+    candidate = essential | {min(c) for c in minimal}
+    if len(candidate) == lower and len(closure_indices(table, candidate)) == size:
+        return RankResult(lower, frozenset(essential), True, tuple(sorted(candidate)))
+    return RankResult(
+        None, frozenset(essential), False, (),
+        f"lower bound {lower} (disjoint constraints); no generating set of that size found",
+    )
+
+
 CLASS_SCAN_TARGETS = [
     pytest.param(lambda table, n=n: table(n), id=f"ss-prime-n{n}") for n in range(2, 6)
 ] + [
@@ -89,8 +125,28 @@ def test_class_scans_match_entry_references(table, make):
     """The scans per restriction class find the same essentials and the
     same constraints, in the same order, as the scans per table entry."""
     t = make(table)
-    assert essential_elements(t) == essential_reference(t)
-    assert _factor_constraints(t) == factor_constraints_reference(t)
+    essential = essential_elements(t)
+    assert essential == essential_reference(t)
+    constraints = factor_constraints_reference(t)
+    assert _factor_constraints(t, set()) == constraints
+    assert _factor_constraints(t, essential) == [c for c in constraints if not (c & essential)]
+
+
+@pytest.mark.parametrize("make", CLASS_SCAN_TARGETS + [
+    pytest.param(lambda table, c=(6, p, q): table(*c),
+                 id=f"{'quotient' if q else 'ideal'}-n6-p{p}")
+    for p in range(1, 6)
+    for q in (False, True)
+])
+def test_rank_oracle_matches_reference(table, make):
+    """One pick per greedily packed constraint certifies the same rank and
+    generating set, and reports the same bound, as one pick per minimal
+    constraint checked against the disjoint count."""
+    t = make(table)
+    got, want = rank_oracle(t), rank_oracle_reference(t)
+    assert (got.rank, got.certified, got.generating_set, got.notes) == (
+        want.rank, want.certified, want.generating_set, want.notes
+    )
 
 
 def _layered_cases(n):
@@ -289,8 +345,9 @@ def test_rank_oracle_certifies_ideals(table):
 
 def test_rank_oracle_is_honest_when_constraints_overlap():
     """On all partial maps of {1,2,3} no element is essential and the
-    factor constraints overlap: one pick per constraint does not meet the
-    disjoint-constraint bound, so nothing is certified."""
+    factor constraints overlap: one pick per packed constraint meets the
+    disjoint-constraint bound but does not generate, so nothing is
+    certified."""
     r = rank_oracle(build_table(all_partial_maps(3), verify=False))
     assert r.certified is False
     assert r.rank is None
@@ -308,9 +365,7 @@ def test_minimal_constraints_are_pairwise_disjoint(table, n):
         for quotient in (False, True):
             t = table(n, p, quotient)
             essential = essential_elements(t)
-            minimal = _minimal_constraints(
-                [c for c in _factor_constraints(t) if not (c & essential)]
-            )
+            minimal = minimal_constraints(_factor_constraints(t, essential))
             assert sum(map(len, minimal)) == len(frozenset().union(*minimal))
             counts.append(len(minimal))
     assert n < 4 or max(counts) > 1  # from n=4 on there is something to overlap
