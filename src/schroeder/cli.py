@@ -45,9 +45,12 @@ from .rank import (
     verify_theorem_hq,
 )
 
-# invariants and characterized starred relations group what they enumerate:
-# invariants --n 11 takes 43 s (31 s of it the census) on a 2-vCPU VM
+# characterized starred relations group what they enumerate: on a 2-vCPU VM
+# L* at n=11 takes 58 s and 830 MB
 ENUM_GUARD = 10
+# invariants reads the scan's byte vectors and builds no map: on a 2-vCPU VM
+# --n 11 takes 9-13 s (7-10 s of it the census) and 20 MB
+INVARIANTS_GUARD = 11
 # enumerate writes each code as the scan reaches it and holds no family: on a
 # 2-vCPU VM --format json takes 2.5 s at n=11, 14 s at n=12 and 72 s at n=13,
 # each under 19 MB
@@ -64,7 +67,10 @@ RANK_GUARD = 11
 # ideals and quotients run the oracle on the quotient at height p itself: on a
 # 2-vCPU VM every one at n=9 takes at most 23 s and 724 MB, ideal (9,4) the most
 RANK_QUOTIENT_GUARD = 9
-DEFINITIONAL_GUARD = 5
+# the definitional starred relations cancel over S^1 in the product table: on
+# a 2-vCPU VM L*/R* take 0.50 / 0.73 s and 27 MB at n=6, and 11.3 / 10.5 s and
+# 244 / 254 MB at n=7
+DEFINITIONAL_GUARD = 7
 # verify-all runs every check up to n-max: --n-max 8 takes 20.4 s and 152 MB
 # on a 2-vCPU VM
 VERIFY_ALL_GUARD = 8
@@ -145,9 +151,7 @@ def _invariant_rows(n: int):
         })
         t0 = t1
 
-    counts = census(
-        PartialMap.from_vector(v) for _, v in iter_family(FamilySpec(Family.SS_PRIME, n))
-    )
+    counts = census(v for _, v in iter_family(FamilySpec(Family.SS_PRIME, n)))
     add("|SS'|", schroeder_small(n), counts.order)
     add("idempotents", formula_idempotents(n), count_idempotents(n))
     for p in range(n):
@@ -175,7 +179,7 @@ def _emit_rows(rows, n: int, fmt: str) -> None:
 def cmd_invariants(args) -> int:
     if args.n < 2:
         return _fail_usage("invariants need n >= 2")
-    guard = args.max_n if args.max_n is not None else ENUM_GUARD
+    guard = args.max_n if args.max_n is not None else INVARIANTS_GUARD
     if args.n > guard:
         return _fail_guard(f"n={args.n} exceeds the guard; raise --max-n")
     rows = _invariant_rows(args.n)
@@ -286,7 +290,7 @@ def _verify_rows(n_max: int, long: bool):
     for n in range(2, n_max + 1):
         table = target_table(n, "ss-prime")
         ss = table.elements
-        counts = census(ss)
+        counts = census(a.vector for a in ss)
         add(f"order n={n}", len(ss) == schroeder_small(n))
         add(f"idempotents n={n}",
             lambda n=n: count_idempotents(n) == formula_idempotents(n))
@@ -390,11 +394,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_p=True):
+    def common(p, with_p=True, with_format=True):
         p.add_argument("--n", type=int, required=True)
         if with_p:
             p.add_argument("--p", type=int, default=None)
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        if with_format:
+            p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--max-n", type=int, default=None,
                        help="override the size guard for this command")
 
@@ -416,7 +421,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_green.add_argument("--target", choices=["ss-prime", "ideal", "quotient"],
                          default="ss-prime")
     p_green.add_argument("--verbose", action="store_true")
-    common(p_green)
+    common(p_green, with_format=False)  # text, and JSON classes under --verbose
     p_green.set_defaults(func=cmd_green)
 
     p_rank = sub.add_parser("rank", help="certified rank vs closed form")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .pmap import PartialMap, eps_1k, requisite_from_image
+from .pmap import _RANKS, PartialMap, eps_1k, requisite_from_image
 
 __all__ = [
     "Family",
@@ -221,11 +221,14 @@ def formula_rstar_classes(n: int, p: int) -> int:
 
 
 def count_rstar_classes(n: int, p: int) -> int:
-    """Distinct kernels (domain + block partition) among height-p members."""
-    kernels = {
-        a.kernel_blocks()
-        for a in enumerate_family(FamilySpec(Family.JSTAR_SLICE, n, p))
-    }
+    """Distinct kernels ker a = {(x, y) : x a = y a} among height-p members,
+    each read as that relation on the domain: the slow reference that the
+    census's kernel vectors are checked against."""
+    points = range(1, n + 1)
+    kernels = set()
+    for a in enumerate_family(FamilySpec(Family.JSTAR_SLICE, n, p)):
+        v = a.vector
+        kernels.add(frozenset((x, y) for x in points for y in points if v[x] and v[x] == v[y]))
     return len(kernels)
 
 
@@ -274,22 +277,25 @@ class Census:
     images: tuple[int, ...]
 
 
-def census(elements: Iterable[PartialMap]) -> Census:
-    """All the counts of :class:`Census` in one pass over SS'(n), listed or
-    streamed; ``count_rstar_classes`` and ``count_lstar_classes`` are the
-    slow references.  Idempotents are left to ``count_idempotents``, which
-    tests each map by squaring it."""
-    maps = iter(elements)
-    first = next(maps, None)
+def census(vectors: Iterable[bytes]) -> Census:
+    """All the counts of :class:`Census` in one pass over the byte vectors of
+    SS'(n), listed or streamed; no map is built.  Each kernel is counted by
+    its kernel vector, ranked as :func:`pmap.kernel_vector` ranks it through
+    the sorted image the image count needs anyway.  ``count_rstar_classes``
+    and ``count_lstar_classes`` are the slow references.  Idempotents are
+    left to ``count_idempotents``, which squares each scanned vector."""
+    vectors = iter(vectors)
+    first = next(vectors, None)
     if first is None:
         raise ValueError("census needs at least one map")
-    kernels: list[set] = [set() for _ in range(first.n)]
-    images: list[set] = [set() for _ in range(first.n)]
+    kernels: list[set] = [set() for _ in range(len(first) - 1)]
+    images: list[set] = [set() for _ in range(len(first) - 1)]
     order = 0
-    for order, a in enumerate(itertools.chain((first,), maps), 1):
-        image = a.image()
-        kernels[len(image)].add(a.kernel_blocks())
-        images[len(image)].add(image)
+    for order, v in enumerate(itertools.chain((first,), vectors), 1):
+        image = bytes(sorted(set(v)))  # led by v[0] = 0, which keeps rank 0
+        h = len(image) - 1
+        kernels[h].add(v.translate(bytes.maketrans(image, _RANKS[:h + 1])))
+        images[h].add(image)
     return Census(order, tuple(map(len, kernels)), tuple(map(len, images)))
 
 

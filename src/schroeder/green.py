@@ -531,9 +531,9 @@ def starred_characterized(table: SemigroupTable, which: StarName) -> EqPartition
     """L*, R*, H*, D* via their structural characterizations on this family.
 
     On SS'(n) and its ideals K(n,p), L* is equal image, R* equal kernel
-    (``kernel_blocks``), H* = L* & R* and D* equal height.  A map is its
-    kernel blocks paired in order with its image values, so H* there is
-    equality.
+    (``PartialMap.kernel``), H* = L* & R* and D* equal height.  A map is its
+    kernel vector with each rank replaced by the image value of that rank,
+    so H* there is equality.
 
     On the Rees quotient RSS'(n,p), S the maps of height p and 0 the zero,
     R* is still equal kernel and D* still puts all of S in one class, but L*
@@ -568,9 +568,9 @@ def starred_characterized(table: SemigroupTable, which: StarName) -> EqPartition
         if which == "Lstar":
             return lstar(a)
         if which == "Rstar":
-            return a.kernel_blocks()
+            return a.kernel()
         if which == "Hstar":
-            return lstar(a), a.kernel_blocks()
+            return lstar(a), a.kernel()
         return a.height()
 
     return EqPartition.from_keys([key(a) for a in table.elements])

@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Mapping
 __all__ = [
     "MAX_VECTOR_N",
     "PartialMap",
-    "KernelView",
     "ambient_size",
+    "kernel_vector",
     "compose",
     "closure",
     "closure_vectors",
@@ -132,17 +132,9 @@ class PartialMap:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(d for d, x in enumerate(self.vector) if x == d and x)
 
-    def kernel_view(self) -> "KernelView":
-        return KernelView.of(self)
-
-    def kernel_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks of the kernel (same-value classes of the domain), ordered
-        by their common value.  Identifies the R*-relevant data of a map."""
-        groups: dict[int, list[int]] = {}
-        for d, x in enumerate(self.vector):
-            if x:
-                groups.setdefault(x, []).append(d)
-        return tuple(tuple(groups[x]) for x in sorted(groups))
+    def kernel(self) -> bytes:
+        """The kernel vector of the map: see :func:`kernel_vector`."""
+        return kernel_vector(self.vector)
 
     # -- predicates ----------------------------------------------------
 
@@ -156,9 +148,6 @@ class PartialMap:
     def is_injective(self) -> bool:
         v = self.vector
         return len(set(v)) - 1 == len(v) - v.count(0)
-
-    def is_partial_identity(self) -> bool:
-        return all(x == d or not x for d, x in enumerate(self.vector))
 
     def is_idempotent(self) -> bool:
         v = self.vector
@@ -196,22 +185,18 @@ def _table(v: bytes) -> bytes:
     return v + bytes(256 - len(v))
 
 
-@dataclass(frozen=True)
-class KernelView:
-    """The tabular form of a map: blocks (A_i, a_i) ordered by image value.
+_RANKS = bytes(range(256))
 
-    For isotone maps the blocks are linearly ordered; for members of the
-    order-decreasing families additionally a_i <= min A_i.
-    """
 
-    blocks: tuple[tuple[tuple[int, ...], int], ...]
-
-    @classmethod
-    def of(cls, a: PartialMap) -> "KernelView":
-        return cls(tuple(zip(a.kernel_blocks(), a.image())))
-
-    def mins(self) -> tuple[int, ...]:
-        return tuple(min(block) for block, _ in self.blocks)
+def kernel_vector(v: bytes) -> bytes:
+    """The kernel of the map with byte vector ``v``, as a vector: each value
+    replaced by its rank in the image (1 for the least), 0 where undefined,
+    so ``2:1,3:1,4:4,5:4`` gives ``0,0,1,1,2,2``.  Two maps have equal
+    kernel vectors exactly when they have the same domain and the same
+    blocks {x : x a = c} in the same order of their values c; for isotone
+    maps, when ker a = {(x, y) : x a = y a} is the same relation."""
+    image = bytes(sorted(set(v)))  # v[0] = 0 comes first and keeps rank 0
+    return v.translate(bytes.maketrans(image, _RANKS[:len(image)]))
 
 
 def ambient_size(maps: Iterable[PartialMap]) -> int:
@@ -266,7 +251,8 @@ def member_ss_prime(a: PartialMap) -> bool:
 
 
 def pseudo_inverse(a: PartialMap) -> PartialMap:
-    """The map a' with domain Im a sending a_i to min A_i.
+    """The map a' with domain Im a sending each value c of a to the least
+    point of its block {x : x a = c}, the first point carrying c.
 
     Satisfies a a' a == a, with a a' an idempotent member of the same family.
     Undefined (raises) for the empty map, whose tabular form has no blocks.
@@ -275,7 +261,7 @@ def pseudo_inverse(a: PartialMap) -> PartialMap:
         raise ValueError("pseudo-inverse requires an isotone decreasing map avoiding 1")
     if not a.height():
         raise ValueError("pseudo-inverse undefined for empty map")
-    return PartialMap.of(a.n, {v: min(block) for block, v in a.kernel_view().blocks})
+    return PartialMap.of(a.n, {x: a.vector.index(x) for x in a.image()})
 
 
 # -- distinguished elements and shapes ---------------------------------

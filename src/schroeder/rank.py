@@ -268,14 +268,12 @@ def factor_via_requisite(a: PartialMap) -> tuple[PartialMap, PartialMap]:
     if not member_ss_prime(a) or not a.pairs:
         raise ValueError("factorization needs a nonempty isotone decreasing map avoiding 1")
     req = requisite_from_image(a.n, a.image())  # raises if no requisite shape
-    blocks = a.kernel_view().blocks
-    i = len(a.image()) - len(req.fixed_points())  # i-1 shifted image points
-    b_pairs = []
-    for pos, (block, value) in enumerate(blocks):
-        # shifted image points map their block one step up; tail blocks keep value
-        target = pos + 2 if pos < i else value
-        b_pairs.extend((d, target) for d in block)
-    b = PartialMap(a.n, tuple(sorted(b_pairs)))
+    i = a.height() - len(req.fixed_points())  # i-1 shifted image points
+    # the block of rank r (r <= i: a shifted image point) maps one step up
+    # to r+1; tail blocks keep their value
+    b = PartialMap(a.n, tuple(
+        (d, r + 1 if r <= i else x) for d, (x, r) in enumerate(zip(a.vector, a.kernel())) if x
+    ))
     return b, req
 
 

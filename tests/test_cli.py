@@ -8,6 +8,7 @@ import pytest
 
 import schroeder.cli
 import schroeder.families
+import schroeder.pmap
 from schroeder import ZERO, EqPartition, Family, PartialMap
 from schroeder.cli import main
 
@@ -143,6 +144,20 @@ def test_invariants_enumerates_once(capsys, monkeypatch):
     assert listed == []
 
 
+def test_invariants_builds_no_map(capsys, monkeypatch):
+    # the census and the idempotent count read the scan's byte vectors
+    def refuse(*args, **kwargs):
+        raise AssertionError("invariants built a PartialMap")
+
+    monkeypatch.setattr(PartialMap, "__init__", refuse)
+    monkeypatch.setattr(schroeder.pmap, "_wrap", refuse)
+    with pytest.raises(AssertionError):
+        PartialMap.from_vector(bytes(3))
+    code, out, _ = run(capsys, "invariants", "--n", "6")
+    assert code == 0
+    assert out.count("PASS") == 14
+
+
 def test_invariants_csv_matches_json(capsys):
     _, text, _ = run(capsys, "invariants", "--n", "4", "--format", "csv")
     _, doc, _ = run(capsys, "invariants", "--n", "4", "--format", "json")
@@ -153,6 +168,30 @@ def test_invariants_csv_matches_json(capsys):
     ]
 
 
+def test_package_all_is_the_contract():
+    assert sorted(schroeder.__all__) == sorted([
+        "Family", "FamilySpec", "binom", "count_idempotents", "count_lstar_classes",
+        "count_rstar_classes", "enumerate_family", "formula_idempotents",
+        "formula_rstar_classes", "schroeder_small", "verify_identity_corollary",
+        "ZERO", "AbundanceReport", "BinRelation", "EqPartition", "NotClosedError",
+        "SemigroupTable", "Zero", "abundance_report", "build_table", "compose_relations",
+        "green", "partition_as_relation", "regular_indices", "relations_equal",
+        "starred_characterized", "starred_definitional",
+        "PartialMap", "alpha_i", "alpha_ik", "compose", "eps_1k", "is_requisite",
+        "left_identity", "member_ss_prime", "parse", "pseudo_inverse", "requisite",
+        "requisite_from_image", "shift_embed",
+        "RankResult", "closure", "closure_indices", "essential_elements",
+        "factor_via_requisite", "formula_rank_ideal", "formula_rank_quotient",
+        "generating_set_G", "lift_requisite", "rank_layered", "rank_oracle",
+        "ss_prime_minimal_generators", "verify_ss1_witnesses", "verify_theorem_hq",
+    ])
+    for name in schroeder.__all__:
+        assert getattr(schroeder, name) is not None
+    namespace = {}
+    exec("from schroeder import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(schroeder.__all__)
+
+
 def test_green_classical(capsys):
     code, out, _ = run(capsys, "green", "--n", "3", "--relation", "R")
     assert code == 0
@@ -161,7 +200,7 @@ def test_green_classical(capsys):
 
 def test_green_classical_n7(capsys, ss):
     # L-classes are the maps sharing the image and the block minima
-    keys = {(a.image(), a.kernel_view().mins()) for a in ss(7)}
+    keys = {(a.image(), tuple(map(a.vector.index, a.image()))) for a in ss(7)}
     code, out, _ = run(capsys, "green", "--n", "7", "--relation", "L")
     assert code == 0
     assert out == f"classes: {len(keys)}\n"
@@ -197,11 +236,22 @@ def test_green_definitional_disagreement_fails(capsys, monkeypatch):
 
 
 def test_green_definitional_guard(capsys):
+    # the definitional mode takes 11 s and 254 MB at n = 7, so n = 8 stops
     code, _, err = run(
-        capsys, "green", "--n", "6", "--relation", "Lstar", "--mode", "definitional"
+        capsys, "green", "--n", "8", "--relation", "Lstar", "--mode", "definitional"
     )
     assert code == 3
     assert "characterized" in err
+
+
+def test_green_has_no_format_flag(capsys):
+    # green prints text (and --verbose JSON) only, so --format is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["green", "--relation", "R", "--n", "3", "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
 
 
 def test_green_characterized_starred_guard(capsys):
@@ -427,11 +477,12 @@ def test_verify_all_checks_abundance_of_ideals_and_quotients(capsys):
 
 @pytest.mark.parametrize("command, n", [
     (("enumerate", "--family", "ss-prime"), 13),
-    (("invariants",), 11),
+    (("invariants",), 12),
 ])
 def test_enumeration_guard_stops_past_the_measured_frontier(capsys, command, n):
     # enumerate streams each code as the scan reaches it and takes 72 s at
-    # n = 13; invariants takes 43 s at n = 11; the n below each stays allowed
+    # n = 13; invariants reads the scan's vectors and the n below each stays
+    # allowed
     code, out, err = run(capsys, *command, "--n", str(n))
     assert code == 3
     assert out == ""

@@ -307,7 +307,7 @@ def test_green_l_matches_image_and_block_mins(table):
     for n in (3, 4, 5):
         t = table(n)
         L = green(t, "L")
-        keys = [(a.image(), a.kernel_view().mins()) for a in t.elements]
+        keys = [(a.image(), tuple(map(a.vector.index, a.image()))) for a in t.elements]
         grouped = {}
         for i, k in enumerate(keys):
             grouped.setdefault(k, []).append(i)

@@ -25,7 +25,7 @@ from schroeder import (
     requisite_from_image,
     shift_embed,
 )
-from schroeder.pmap import MAX_VECTOR_N, all_partial_maps
+from schroeder.pmap import MAX_VECTOR_N, all_partial_maps, kernel_vector
 
 
 def test_construction_and_views():
@@ -95,12 +95,38 @@ def test_membership_predicate():
     assert not member_ss_prime(PartialMap.of(3, {2: 2, 3: 1}))  # not isotone
 
 
-def test_kernel_blocks():
+def test_kernel_vector():
     a = PartialMap.of(5, {2: 1, 3: 1, 4: 4, 5: 4})
-    assert a.kernel_blocks() == ((2, 3), (4, 5))
-    kv = a.kernel_view()
-    assert kv.blocks == (((2, 3), 1), ((4, 5), 4))
-    assert kv.mins() == (2, 4)
+    assert a.kernel() == kernel_vector(a.vector) == bytes([0, 0, 1, 1, 2, 2])
+    assert PartialMap.empty(3).kernel() == bytes(4)
+    assert PartialMap.of(3, {1: 3, 2: 1, 3: 3}).kernel() == bytes([0, 2, 1, 2])
+
+
+def ker(a):
+    """ker a = {(x, y) : x a = y a}, x and y in the domain of a."""
+    return frozenset((x, y) for x in a.domain() for y in a.domain() if a(x) == a(y))
+
+
+def test_kernel_vector_reads_the_kernel_relation():
+    """On every partial map of {1..4}: the kernel vector is 0 off the domain,
+    equal at x and y exactly when (x, y) is in ker a, and ranks the values
+    in their order; so among isotone maps, whose blocks are ordered by their
+    points, equal kernel vectors are equal kernels."""
+    maps = list(all_partial_maps(4))
+    for a in maps:
+        k, v = a.kernel(), a.vector
+        assert k[0] == 0 and set(k) == set(range(a.height() + 1))
+        for x in range(1, 5):
+            assert (k[x] == 0) == (v[x] == 0)
+            for y in range(1, 5):
+                assert (k[x] and k[x] == k[y]) == ((x, y) in ker(a))
+                assert (k[x] < k[y]) == (v[x] < v[y])
+    isotone = [a for a in maps if a.is_isotone()]
+    by_kernel = {}
+    for a in isotone:
+        by_kernel.setdefault(a.kernel(), set()).add(ker(a))
+    assert all(len(kers) == 1 for kers in by_kernel.values())
+    assert len(by_kernel) == len({ker(a) for a in isotone})
 
 
 def test_encode_parse_round_trip():

@@ -422,7 +422,7 @@ def test_factor_via_requisite_round_trip(ss):
             b, req = factor_via_requisite(a)
             assert is_requisite(req)
             assert req.image() == a.image()
-            assert b.kernel_blocks() == a.kernel_blocks()
+            assert b.kernel() == a.kernel()
             assert b * req == a
 
 
