@@ -160,8 +160,10 @@ class SemigroupTable:
         columns of class c, both shared by the rows of one image.
         ``composed[c]`` is u times every member of class c, composed once for
         its first member through :meth:`products`, which checks closure and
-        applies the Rees collapse.  The zero row is one class whose product
-        is the zero.
+        applies the Rees collapse.  Under a Rees collapse every column whose
+        product with u is the zero lies in one class, the zero's own; so a
+        row composes its nonzero classes and the zero once.  The zero row is
+        one class whose product is the zero.
         """
         if self._classes is None:
             size, zi = len(self), self.zero_index
@@ -185,15 +187,29 @@ class SemigroupTable:
         column, the columns of each class, and the first column of each
         class.  Each point of Im a is the image of a point, so the vector of
         a*b, composed without the Rees collapse, determines the restriction
-        and keys the column.  The zero is a class of its own."""
+        and keys the column.
+
+        Under a Rees collapse the zero's class also takes every column whose
+        key has at most ``collapse_below`` distinct bytes, the test
+        :meth:`products` applies: the key's nonzero bytes are b(Im a & Dom b),
+        so whether a*b collapses depends on the image and the restriction
+        only, as the class does."""
         v = a.vector
-        ids: dict = {}
+        cut = self.collapse_below
+        ids: dict = {}  # key -> class; None keys the zero's class
         class_of = array("I")
         members: list[list[int]] = []
         for j, t in enumerate(self._translate_tables()):
-            c = ids.setdefault(None if t is None else v.translate(t), len(ids))
-            if c == len(members):
-                members.append([])
+            key = None if t is None else v.translate(t)
+            c = ids.get(key)
+            if c is None:
+                if key is None or cut is not None and len(set(key)) <= cut:
+                    c = ids.setdefault(None, len(members))
+                else:
+                    c = len(members)
+                ids[key] = c
+                if c == len(members):
+                    members.append([])
             members[c].append(j)
             class_of.append(c)
         return class_of, [array("I", m) for m in members], [m[0] for m in members]

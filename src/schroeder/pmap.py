@@ -20,9 +20,8 @@ valid, so the kernel wraps its results unchecked.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "MAX_VECTOR_N",
@@ -370,8 +369,3 @@ def parse(text: str, n: int) -> PartialMap:
     except ValueError as exc:
         raise ValueError(f"parse error: {exc}") from exc
 
-
-def all_partial_maps(n: int) -> Iterator[PartialMap]:
-    """Every partial transformation of {1..n}; (n+1)^n of them.  Test oracle."""
-    for vals in itertools.product(range(n + 1), repeat=n):
-        yield PartialMap.from_vector(bytes((0, *vals)))

@@ -59,18 +59,27 @@ __all__ = [
 
 def closure_indices(table: SemigroupTable, gen_indices) -> set[int]:
     """Subsemigroup generated by the given indices, inside a built table
-    (so Rees-quotient products collapse correctly)."""
+    (so Rees-quotient products collapse correctly).
+
+    x*g depends on g only through its restriction class in row x (see
+    ``SemigroupTable.class_rows``), so each reached x is expanded once per
+    distinct class of the generators.  Rows of one image share their
+    ``class_of``, so those classes are found once per image."""
     rows = table.class_rows()
     gens = sorted(set(gen_indices))
     seen = set(gens)
     work = list(gens)
+    gen_classes: dict = {}  # id of a shared class_of -> the generators' classes
     while work:
         class_of, _, composed = rows[work.pop()]
-        for g in gens:
-            c = composed[class_of[g]]
-            if c not in seen:
-                seen.add(c)
-                work.append(c)
+        classes = gen_classes.get(id(class_of))
+        if classes is None:
+            classes = gen_classes[id(class_of)] = {class_of[g] for g in gens}
+        for c in classes:
+            s = composed[c]
+            if s not in seen:
+                seen.add(s)
+                work.append(s)
     return seen
 
 
@@ -116,30 +125,43 @@ def _factor_constraints(table: SemigroupTable, essential: set[int]) -> list[froz
     essentials therefore adds its count to a sound lower bound on the rank.
     The zero of a Rees quotient gets no constraints: nearly every product
     there is the zero, and any subset of the constraints still bounds the
-    rank below.  Each constraint that meets the essentials is dropped
-    before it is frozen, and each predecessor set is released once emitted.
+    rank below.  A predecessor set is dropped at its first factor that is
+    an essential, an essential's own sets are never filled, and each kept
+    set is released once emitted.
     """
     size, zi = len(table), table.zero_index
-    pred_right: list[set[int] | None] = [set() for _ in range(size)]
-    pred_left: list[set[int] | None] = [set() for _ in range(size)]
+    # None marks a set that meets the essentials (each holds its own s) or
+    # belongs to the zero, and so is never emitted
+    dropped = essential | {zi}
+    pred_right: list[set[int] | None] = [None if s in dropped else set() for s in range(size)]
+    pred_left: list[set[int] | None] = [None if s in dropped else set() for s in range(size)]
     for u, (_, members, composed) in enumerate(table.class_rows()):
+        u_essential = u in essential
         for c, s in enumerate(composed):
-            if s != u and s != zi:
+            if s != u:
                 factors = members[c]
                 # as in essential_elements; s itself may join pred_right[s],
                 # which each constraint holds anyway
                 if len(factors) > 1 or factors[0] != s:
-                    pred_right[s].update(factors)
-                    pred_left[s].add(u)
+                    right = pred_right[s]
+                    if right is not None:
+                        if essential.isdisjoint(factors):
+                            right.update(factors)
+                        else:
+                            pred_right[s] = None
+                    left = pred_left[s]
+                    if left is not None:
+                        if u_essential:
+                            pred_left[s] = None
+                        else:
+                            left.add(u)
     out = []
     for s in range(size):
-        if s == zi:
-            continue
         for preds in (pred_right, pred_left):
             pred = preds[s]
-            preds[s] = None
-            pred.add(s)
-            if pred.isdisjoint(essential):
+            if pred is not None:
+                preds[s] = None
+                pred.add(s)
                 out.append(frozenset(pred))
     return out
 

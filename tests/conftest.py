@@ -20,14 +20,15 @@ def ss():
 @pytest.fixture(scope="session")
 def table():
     """Cache of built semigroup tables: table(n) for the full semigroup,
-    table(n, p) for the ideal, table(n, p, quotient=True) for the quotient."""
+    table(n, p) for the ideal, table(n, p, quotient=True) for the quotient;
+    ``lo`` picks a layer table, as in ``target_table``."""
     cache = {}
 
-    def get(n, p=None, quotient=False):
-        key = (n, p, quotient)
+    def get(n, p=None, quotient=False, lo=None):
+        key = (n, p, quotient, lo)
         if key not in cache:
             target = "ss-prime" if p is None else "quotient" if quotient else "ideal"
-            cache[key] = target_table(n, target, p)
+            cache[key] = target_table(n, target, p, lo)
         return cache[key]
 
     return get

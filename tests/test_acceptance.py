@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from pmap_reference import all_partial_maps
 
 from schroeder import (
     Family,
@@ -38,7 +39,7 @@ from schroeder import (
     verify_ss1_witnesses,
 )
 from schroeder.green import regular_indices
-from schroeder.pmap import all_partial_maps, member_ss_prime
+from schroeder.pmap import member_ss_prime
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

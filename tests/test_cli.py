@@ -75,16 +75,41 @@ def enumerate_reference(kind, n, p, fmt):
 def test_enumerate_streams_the_held_listing(capsys, fmt):
     """Every family at n <= 6, each height where one is taken: the streamed
     output is byte for byte the listing printed whole."""
+    for kind, n, p in _enumerate_cases():
+        argv = ["enumerate", "--family", kind.value, "--n", str(n), "--format", fmt]
+        code, out, _ = run(capsys, *argv, *(["--p", str(p)] if p is not None else []))
+        assert code == 0
+        assert out == enumerate_reference(kind, n, p, fmt), (kind, n, p)
+
+
+def _enumerate_cases():
+    """Every family at n <= 6, each height where one is taken."""
     for n in range(2, 7):
         for kind in Family:
             heights = [None] if kind not in schroeder.families._NEEDS_P else []
             if kind in schroeder.families._NEEDS_P or kind is Family.IDEMPOTENTS:
                 heights += range(n)
             for p in heights:
-                argv = ["enumerate", "--family", kind.value, "--n", str(n), "--format", fmt]
-                code, out, _ = run(capsys, *argv, *(["--p", str(p)] if p is not None else []))
-                assert code == 0
-                assert out == enumerate_reference(kind, n, p, fmt), (kind, n, p)
+                yield kind, n, p
+
+
+def test_enumerate_csv_builds_no_map(capsys, monkeypatch):
+    """The csv height is counted off the scanned byte vector: the output
+    equals the listing printed whole, with no map built.  The requisites
+    are left out: ``iter_family`` makes them as maps to sort them."""
+    cases = [(case, enumerate_reference(*case, "csv"))
+             for case in _enumerate_cases() if case[0] is not Family.REQUISITE]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a PartialMap")
+
+    monkeypatch.setattr(PartialMap, "__init__", refuse)
+    monkeypatch.setattr(schroeder.pmap, "_wrap", refuse)
+    for (kind, n, p), want in cases:
+        argv = ["enumerate", "--family", kind.value, "--n", str(n), "--format", "csv"]
+        code, out, _ = run(capsys, *argv, *(["--p", str(p)] if p is not None else []))
+        assert code == 0
+        assert out == want, (kind, n, p)
 
 
 def test_enumerate_holds_no_family(capsys, monkeypatch):

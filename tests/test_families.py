@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from pmap_reference import all_partial_maps
 
 from schroeder import (
     Family,
@@ -19,7 +20,7 @@ from schroeder import (
 )
 import schroeder.families
 from schroeder.families import census, height_counts, iter_family, ss_prime_minimal_generators
-from schroeder.pmap import all_partial_maps, eps_1k, requisite_from_image
+from schroeder.pmap import eps_1k, requisite_from_image
 
 
 def test_schroeder_small_values():

@@ -1,7 +1,7 @@
 import importlib
 
 import pytest
-from pmap_reference import compose_reference
+from pmap_reference import all_partial_maps, compose_reference
 
 from schroeder import (
     ZERO,
@@ -20,7 +20,6 @@ from schroeder import (
     starred_definitional,
 )
 from schroeder.green import _scc_partition, regular_indices, target_table
-from schroeder.pmap import all_partial_maps
 
 
 # -- slow references on the full |S|^2 product table ----------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pmap_reference import compose_reference
+from pmap_reference import all_partial_maps, compose_reference
 
 from schroeder import (
     Family,
@@ -25,7 +25,7 @@ from schroeder import (
     requisite_from_image,
     shift_embed,
 )
-from schroeder.pmap import MAX_VECTOR_N, all_partial_maps, kernel_vector
+from schroeder.pmap import MAX_VECTOR_N, kernel_vector
 
 
 def test_construction_and_views():

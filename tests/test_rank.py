@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from pmap_reference import compose_reference
+from pmap_reference import all_partial_maps, compose_reference
 
 from schroeder import (
     Family,
@@ -24,7 +24,7 @@ from schroeder import (
     verify_theorem_hq,
 )
 from schroeder.green import build_table, target_table
-from schroeder.pmap import all_partial_maps, closure_vectors
+from schroeder.pmap import closure_vectors
 import schroeder.rank
 from schroeder.rank import _factor_constraints, rank_layered
 
@@ -65,6 +65,23 @@ def factor_constraints_reference(table):
         out.append(frozenset({s}) | frozenset(pred_right[s]))
         out.append(frozenset({s}) | frozenset(pred_left[s]))
     return out
+
+
+def closure_indices_reference(table, gen_indices):
+    """The subsemigroup generated inside the table, expanding each reached
+    element by every generator."""
+    rows = table.full_table()
+    gens = sorted(set(gen_indices))
+    seen = set(gens)
+    work = list(gens)
+    while work:
+        row = rows[work.pop()]
+        for g in gens:
+            s = row[g]
+            if s not in seen:
+                seen.add(s)
+                work.append(s)
+    return seen
 
 
 def minimal_constraints(constraints):
@@ -147,6 +164,51 @@ def test_rank_oracle_matches_reference(table, make):
     assert (got.rank, got.certified, got.generating_set, got.notes) == (
         want.rank, want.certified, want.generating_set, want.notes
     )
+
+
+LAYER_TABLES = [
+    pytest.param(lambda table, c=(n, p, quotient, lo): table(*c),
+                 id=f"{'ss-prime' if p is None else 'quotient' if quotient else 'ideal'}-n{n}"
+                    + (f"-p{p}" if p else "") + f"-lo{lo}")
+    for n in range(2, 7)
+    for p, quotient in [(None, False)] + [(p, q) for p in range(1, n) for q in (False, True)]
+    for lo in range(p if quotient else 1, (p or n - 1) + 1)
+]
+
+COLLAPSED_TABLES = LAYER_TABLES + [
+    pytest.param(
+        lambda table: build_table([a for a in all_partial_maps(3) if a.height() == 2],
+                                  collapse_below=2),
+        id="height-2-partial-maps-n3",
+    ),
+]
+
+
+@pytest.mark.parametrize("make", COLLAPSED_TABLES)
+def test_collapsed_class_rows_keep_one_zero_class(table, make):
+    """Under a Rees collapse each row has at most one class whose product is
+    the zero, on layer tables and on a table of maps that are not isotone,
+    and the rows gathered from the classes equal each entry composed and
+    collapsed by ``products``."""
+    t = make(table)
+    zi = t.zero_index
+    for _, _, composed in t.class_rows():
+        assert list(composed).count(zi) <= 1
+    columns = range(len(t))
+    assert [list(row) for row in t.full_table()] == [t.products(i, columns) for i in columns]
+
+
+@pytest.mark.parametrize("make", CLASS_SCAN_TARGETS + LAYER_TABLES)
+def test_closure_indices_matches_reference(table, make):
+    """Expanding each element once per distinct class of the generators in
+    its row reaches the same elements as expanding it by every generator:
+    from the essentials, from the oracle's generating set and from seeded
+    random draws."""
+    t = make(table)
+    rng = random.Random(len(t))
+    draws = [rng.sample(range(len(t)), min(len(t), k)) for k in (1, 2, 3, 5)]
+    for gens in [essential_elements(t), rank_oracle(t).generating_set, *draws]:
+        assert closure_indices(t, gens) == closure_indices_reference(t, gens)
 
 
 def _layered_cases(n):
