@@ -25,6 +25,7 @@ from .families import (
     height_counts,
     iter_family,
     schroeder_small,
+    ss_prime_minimal_generators,
 )
 from .green import (
     NotClosedError,
@@ -34,12 +35,11 @@ from .green import (
     starred_definitional,
     target_table,
 )
+from .pmap import closure
 from .rank import (
-    closure,
     formula_rank_ideal,
     formula_rank_quotient,
     rank_layered,
-    ss_prime_minimal_generators,
     verify_ss1_witnesses,
     verify_theorem_hq,
 )
@@ -369,8 +369,9 @@ def _verify_rows(n_max: int, long: bool):
 def cmd_verify_all(args) -> int:
     if args.n_max < 2:
         return _fail_usage("need --n-max >= 2")
-    if args.n_max > VERIFY_ALL_GUARD:
-        return _fail_guard(f"verify-all guarded at n-max = {VERIFY_ALL_GUARD}")
+    guard = args.max_n if args.max_n is not None else VERIFY_ALL_GUARD
+    if args.n_max > guard:
+        return _fail_guard(f"verify-all guarded at n-max = {guard}; raise --max-n")
     rows = _verify_rows(args.n_max, args.long)
     if args.format == "json":
         print(json.dumps({"n_max": args.n_max, "rows": rows}))
@@ -435,6 +436,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--n-max", type=int, required=True)
     p_all.add_argument("--long", action="store_true")
     p_all.add_argument("--format", choices=["text", "json"], default="text")
+    p_all.add_argument("--max-n", type=int, default=None,
+                       help="override the size guard for this command")
     p_all.set_defaults(func=cmd_verify_all)
 
     return parser

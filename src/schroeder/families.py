@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .pmap import _RANKS, PartialMap, eps_1k, requisite_from_image
 
 __all__ = [
@@ -60,13 +60,17 @@ class Family(str, Enum):
 _NEEDS_P = {Family.IDEAL_K, Family.JSTAR_SLICE, Family.REQUISITE}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
+    """A family of ``Family`` kind over {1..n}, with its height p where the
+    kind needs one; checked at construction."""
+
+    __slots__ = _fields = ("kind", "n", "p")
     kind: Family
     n: int
-    p: int | None = None
+    p: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: Family, n: int, p: int | None = None) -> None:
+        Record.__init__(self, kind, n, p)
         if self.n < 2:
             raise ValueError(f"family enumeration needs n >= 2, got n={self.n}")
         if self.kind in _NEEDS_P and self.p is None:
@@ -267,14 +271,17 @@ def height_counts(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """Counts over SS'(n): the order, and per height p = 0..n-1 the numbers
     of distinct kernels (R*-classes) and of distinct images (L*-classes)."""
 
+    __slots__ = _fields = ("order", "kernels", "images")
     order: int
     kernels: tuple[int, ...]
     images: tuple[int, ...]
+
+    def __init__(self, order: int, kernels: tuple[int, ...], images: tuple[int, ...]) -> None:
+        Record.__init__(self, order, kernels, images)
 
 
 def census(vectors: Iterable[bytes]) -> Census:

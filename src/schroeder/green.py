@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
 
+from ._record import Record
 from .families import (
     generating_set_G,
     iter_heights,
@@ -31,14 +31,10 @@ __all__ = [
     "NotClosedError",
     "SemigroupTable",
     "EqPartition",
-    "BinRelation",
     "build_table",
     "green",
     "starred_definitional",
     "starred_characterized",
-    "partition_as_relation",
-    "compose_relations",
-    "relations_equal",
     "abundance_report",
     "AbundanceReport",
 ]
@@ -76,7 +72,6 @@ class NotClosedError(ValueError):
     """A product of two elements of a table is missing from it."""
 
 
-@dataclass
 class SemigroupTable:
     """An interned, indexed, composition-closed set of elements.
 
@@ -84,18 +79,20 @@ class SemigroupTable:
     its index.
     """
 
-    n: int
-    elements: list  # PartialMap values, plus ZERO at index 0 when present
-    zero_index: int | None
-    collapse_below: int | None
-
-    _index: dict = field(repr=False)
-    _tables: list = field(default=None, init=False, repr=False)  # translate tables, lazy
-    _classes: list = field(default=None, init=False, repr=False)  # class-compressed rows, lazy
-    _rows: list = field(default=None, init=False, repr=False)  # full product table, lazy
-    _gens: list = field(default=None, init=False, repr=False)  # generating set, lazy
-    _right: list = field(default=None, init=False, repr=False)  # right Cayley graph, lazy
-    _left: list = field(default=None, init=False, repr=False)  # left Cayley graph, lazy
+    def __init__(
+        self, n: int, elements: list, zero_index: int | None, collapse_below: int | None, _index: dict
+    ) -> None:
+        self.n = n
+        self.elements = elements  # PartialMap values, plus ZERO at index 0 when present
+        self.zero_index = zero_index
+        self.collapse_below = collapse_below
+        self._index = _index
+        self._tables: list | None = None  # translate tables, lazy
+        self._classes: list | None = None  # class-compressed rows, lazy
+        self._rows: list | None = None  # full product table, lazy
+        self._gens: list | None = None  # generating set, lazy
+        self._right: list | None = None  # right Cayley graph, lazy
+        self._left: list | None = None  # left Cayley graph, lazy
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -363,12 +360,15 @@ def target_table(n: int, target: str, p: int | None = None, lo: int | None = Non
     return _intern(band, lo or None)
 
 
-@dataclass(frozen=True)
-class EqPartition:
+class EqPartition(Record):
     """A partition of a table's element indices into classes."""
 
+    __slots__ = _fields = ("class_id", "classes")
     class_id: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
+
+    def __init__(self, class_id: tuple[int, ...], classes: tuple[tuple[int, ...], ...]) -> None:
+        Record.__init__(self, class_id, classes)
 
     @classmethod
     def from_keys(cls, keys: Sequence) -> "EqPartition":
@@ -499,18 +499,6 @@ def green(table: SemigroupTable, which: GreenName) -> EqPartition:
     raise ValueError(f"unknown Green relation {which!r}")
 
 
-def regular_indices(table: SemigroupTable) -> list[int]:
-    """Indices of regular elements: a with a b a == a for some b.
-
-    In any semigroup a is regular iff its L-class holds an idempotent: if
-    a b a = a then e = b a is idempotent and a = a e, e = b a; if a L e with
-    e idempotent, a = x e and e = y a, then a e = a and a y a = a.
-    """
-    class_id = green(table, "L").class_id
-    with_idempotent = {class_id[e] for e in table.idempotent_indices()}
-    return [i for i in range(len(table)) if class_id[i] in with_idempotent]
-
-
 # -- starred relations ----------------------------------------------------
 
 
@@ -592,60 +580,30 @@ def starred_characterized(table: SemigroupTable, which: StarName) -> EqPartition
     return EqPartition.from_keys([key(a) for a in table.elements])
 
 
-# -- relation algebra ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BinRelation:
-    """A binary relation on element indices 0..size-1."""
-
-    size: int
-    pairs: frozenset
-
-    @classmethod
-    def identity(cls, size: int) -> "BinRelation":
-        return cls(size, frozenset((i, i) for i in range(size)))
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-
-def partition_as_relation(p: EqPartition) -> BinRelation:
-    pairs = set()
-    for cls_ in p.classes:
-        for a in cls_:
-            for b in cls_:
-                pairs.add((a, b))
-    return BinRelation(len(p.class_id), frozenset(pairs))
-
-
-def compose_relations(r1: BinRelation, r2: BinRelation) -> BinRelation:
-    """(a, c) in r1 o r2 iff exists b with (a, b) in r1 and (b, c) in r2."""
-    if r1.size != r2.size:
-        raise ValueError("universe mismatch")
-    by_first: dict[int, set[int]] = {}
-    for b, c in r2.pairs:
-        by_first.setdefault(b, set()).add(c)
-    out = set()
-    for a, b in r1.pairs:
-        for c in by_first.get(b, ()):
-            out.add((a, c))
-    return BinRelation(r1.size, frozenset(out))
-
-
-def relations_equal(r1: BinRelation, r2: BinRelation) -> bool:
-    return r1.size == r2.size and r1.pairs == r2.pairs
-
-
 # -- abundance -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbundanceReport:
+class AbundanceReport(Record):
+    """Whether each R*-class and each L*-class of a table holds an
+    idempotent: the idempotent count of each R*-class, and the first
+    L*-class with none, or None."""
+
+    __slots__ = _fields = (
+        "right_abundant", "left_abundant", "rstar_idempotent_counts", "lstar_witness"
+    )
     right_abundant: bool
     left_abundant: bool
     rstar_idempotent_counts: tuple[int, ...]
     lstar_witness: tuple[int, ...] | None  # an idempotent-free L*-class
+
+    def __init__(
+        self,
+        right_abundant: bool,
+        left_abundant: bool,
+        rstar_idempotent_counts: tuple[int, ...],
+        lstar_witness: tuple[int, ...] | None,
+    ) -> None:
+        Record.__init__(self, right_abundant, left_abundant, rstar_idempotent_counts, lstar_witness)
 
     @property
     def unique_idempotent_per_rstar(self) -> bool:

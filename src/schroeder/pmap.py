@@ -20,7 +20,6 @@ valid, so the kernel wraps its results unchecked.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -48,15 +47,16 @@ MAX_VECTOR_N = 255
 
 
 @functools.total_ordering
-@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PartialMap:
     """A partial transformation of {1..n}, stored as its byte vector.
 
     ``PartialMap(n, pairs)`` takes (point, value) pairs with points strictly
     increasing; the empty tuple gives the empty map.  Instances are
-    immutable, hashable and totally ordered by ``(n, encode())``.
+    immutable, hashable and totally ordered by ``(n, encode())``; two maps
+    are equal when their vectors are.
     """
 
+    __slots__ = ("vector",)
     vector: bytes
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]) -> None:
@@ -92,10 +92,27 @@ class PartialMap:
             raise ValueError(f"not the vector of a map of {{1..n}}, n <= {MAX_VECTOR_N}: {v!r}")
         return _wrap(v)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vector == other.vector
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vector,))  # fixes the iteration order of sets of maps
+
     def __lt__(self, other):
         if not isinstance(other, PartialMap):
             return NotImplemented
         return (self.n, self.encode()) < (other.n, other.encode())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PartialMap.from_vector, (self.vector,)
 
     def __repr__(self) -> str:
         return f"PartialMap(n={self.n}, pairs={self.pairs!r})"

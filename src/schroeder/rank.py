@@ -14,16 +14,13 @@ certified set generates the whole target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .families import (
     Family,
     FamilySpec,
     binom,
     enumerate_family,
-    generating_set_G,
     height_counts,
-    ss_prime_minimal_generators,
 )
 from .green import SemigroupTable, target_table
 from .pmap import (
@@ -40,7 +37,6 @@ from .pmap import (
 )
 
 __all__ = [
-    "closure",
     "closure_indices",
     "essential_elements",
     "RankResult",
@@ -48,8 +44,6 @@ __all__ = [
     "rank_layered",
     "formula_rank_quotient",
     "formula_rank_ideal",
-    "generating_set_G",
-    "ss_prime_minimal_generators",
     "factor_via_requisite",
     "lift_requisite",
     "verify_ss1_witnesses",
@@ -102,13 +96,27 @@ def essential_elements(table: SemigroupTable) -> set[int]:
     return {i for i in range(size) if not decomposable[i]}
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Record):
+    """What the rank oracle found for a table: the rank, or None when it
+    could not certify one, the essential elements, and a generating set of
+    that size, all as indices of the table."""
+
+    __slots__ = _fields = ("rank", "essential", "certified", "generating_set", "notes")
     rank: int | None
     essential: frozenset
     certified: bool
     generating_set: tuple[int, ...]
-    notes: str = ""
+    notes: str
+
+    def __init__(
+        self,
+        rank: int | None,
+        essential: frozenset,
+        certified: bool,
+        generating_set: tuple[int, ...],
+        notes: str = "",
+    ) -> None:
+        Record.__init__(self, rank, essential, certified, generating_set, notes)
 
 
 def _factor_constraints(table: SemigroupTable, essential: set[int]) -> list[frozenset]:

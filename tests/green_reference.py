@@ -1,0 +1,55 @@
+"""Relation algebra and regularity for the tests of ``schroeder.green``:
+binary relations on a table's element indices, composed pair by pair, to
+check D* = L* o R* o L*, and the regular elements read off the L-classes."""
+
+from schroeder import EqPartition, SemigroupTable, green
+
+
+class BinRelation:
+    """A binary relation on element indices 0..size-1."""
+
+    def __init__(self, size: int, pairs: frozenset) -> None:
+        self.size = size
+        self.pairs = pairs
+
+    def __contains__(self, pair) -> bool:
+        return pair in self.pairs
+
+
+def partition_as_relation(p: EqPartition) -> BinRelation:
+    pairs = set()
+    for cls_ in p.classes:
+        for a in cls_:
+            for b in cls_:
+                pairs.add((a, b))
+    return BinRelation(len(p.class_id), frozenset(pairs))
+
+
+def compose_relations(r1: BinRelation, r2: BinRelation) -> BinRelation:
+    """(a, c) in r1 o r2 iff exists b with (a, b) in r1 and (b, c) in r2."""
+    if r1.size != r2.size:
+        raise ValueError("universe mismatch")
+    by_first: dict[int, set[int]] = {}
+    for b, c in r2.pairs:
+        by_first.setdefault(b, set()).add(c)
+    out = set()
+    for a, b in r1.pairs:
+        for c in by_first.get(b, ()):
+            out.add((a, c))
+    return BinRelation(r1.size, frozenset(out))
+
+
+def relations_equal(r1: BinRelation, r2: BinRelation) -> bool:
+    return r1.size == r2.size and r1.pairs == r2.pairs
+
+
+def regular_indices(table: SemigroupTable) -> list[int]:
+    """Indices of regular elements: a with a b a == a for some b.
+
+    In any semigroup a is regular iff its L-class holds an idempotent: if
+    a b a = a then e = b a is idempotent and a = a e, e = b a; if a L e with
+    e idempotent, a = x e and e = y a, then a e = a and a y a = a.
+    """
+    class_id = green(table, "L").class_id
+    with_idempotent = {class_id[e] for e in table.idempotent_indices()}
+    return [i for i in range(len(table)) if class_id[i] in with_idempotent]

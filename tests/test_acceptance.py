@@ -6,6 +6,12 @@ import itertools
 import random
 
 import pytest
+from green_reference import (
+    compose_relations,
+    partition_as_relation,
+    regular_indices,
+    relations_equal,
+)
 from pmap_reference import all_partial_maps
 
 from schroeder import (
@@ -15,7 +21,6 @@ from schroeder import (
     abundance_report,
     binom,
     closure,
-    compose_relations,
     count_lstar_classes,
     count_rstar_classes,
     enumerate_family,
@@ -27,10 +32,8 @@ from schroeder import (
     green,
     is_requisite,
     lift_requisite,
-    partition_as_relation,
     pseudo_inverse,
     rank_oracle,
-    relations_equal,
     schroeder_small,
     ss_prime_minimal_generators,
     starred_characterized,
@@ -38,7 +41,6 @@ from schroeder import (
     verify_identity_corollary,
     verify_ss1_witnesses,
 )
-from schroeder.green import regular_indices
 from schroeder.pmap import member_ss_prime
 
 

@@ -198,10 +198,9 @@ def test_package_all_is_the_contract():
         "Family", "FamilySpec", "binom", "count_idempotents", "count_lstar_classes",
         "count_rstar_classes", "enumerate_family", "formula_idempotents",
         "formula_rstar_classes", "schroeder_small", "verify_identity_corollary",
-        "ZERO", "AbundanceReport", "BinRelation", "EqPartition", "NotClosedError",
-        "SemigroupTable", "Zero", "abundance_report", "build_table", "compose_relations",
-        "green", "partition_as_relation", "regular_indices", "relations_equal",
-        "starred_characterized", "starred_definitional",
+        "ZERO", "AbundanceReport", "EqPartition", "NotClosedError",
+        "SemigroupTable", "Zero", "abundance_report", "build_table",
+        "green", "starred_characterized", "starred_definitional",
         "PartialMap", "alpha_i", "alpha_ik", "compose", "eps_1k", "is_requisite",
         "left_identity", "member_ss_prime", "parse", "pseudo_inverse", "requisite",
         "requisite_from_image", "shift_embed",
@@ -472,6 +471,15 @@ def test_verify_all(capsys):
     assert code == 0
     assert "0 failed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [("--n-max", "9"), ("--n-max", "4", "--max-n", "3")])
+def test_verify_all_guard(capsys, argv):
+    # the guard defaults to VERIFY_ALL_GUARD = 8, and --max-n moves it
+    code, out, err = run(capsys, "verify-all", *argv)
+    assert code == 3
+    assert out == ""
+    assert "raise --max-n" in err
 
 
 def test_verify_all_json(capsys):

@@ -1,6 +1,12 @@
 import importlib
 
 import pytest
+from green_reference import (
+    compose_relations,
+    partition_as_relation,
+    regular_indices,
+    relations_equal,
+)
 from pmap_reference import all_partial_maps, compose_reference
 
 from schroeder import (
@@ -11,15 +17,12 @@ from schroeder import (
     PartialMap,
     abundance_report,
     build_table,
-    compose_relations,
     enumerate_family,
     green,
-    partition_as_relation,
-    relations_equal,
     starred_characterized,
     starred_definitional,
 )
-from schroeder.green import _scc_partition, regular_indices, target_table
+from schroeder.green import _scc_partition, target_table
 
 
 # -- slow references on the full |S|^2 product table ----------------------

@@ -268,11 +268,17 @@ def test_vector_is_the_only_stored_form():
     assert a.vector == bytes([0, 0, 1, 0, 3])
     assert a.n == 4 and a.pairs == ((2, 1), (4, 3))
     assert PartialMap.from_vector(a.vector) == a
-    assert hash(PartialMap.from_vector(a.vector)) == hash(a)
+    assert hash(PartialMap.from_vector(a.vector)) == hash(a) == hash((a.vector,))
+    assert a != a.vector and a != (a.vector,)
     assert PartialMap.empty(3).vector == bytes(4)
     with pytest.raises(AttributeError):
         a.vector = bytes(5)
-    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        del a.vector
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and type(b) is PartialMap
 
 
 def test_from_vector_validation():
