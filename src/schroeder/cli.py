@@ -369,9 +369,8 @@ def _verify_rows(n_max: int, long: bool):
 def cmd_verify_all(args) -> int:
     if args.n_max < 2:
         return _fail_usage("need --n-max >= 2")
-    guard = args.max_n if args.max_n is not None else VERIFY_ALL_GUARD
-    if args.n_max > guard:
-        return _fail_guard(f"verify-all guarded at n-max = {guard}; raise --max-n")
+    if args.n_max > VERIFY_ALL_GUARD:
+        return _fail_guard(f"verify-all guarded at n-max = {VERIFY_ALL_GUARD}")
     rows = _verify_rows(args.n_max, args.long)
     if args.format == "json":
         print(json.dumps({"n_max": args.n_max, "rows": rows}))
@@ -436,8 +435,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--n-max", type=int, required=True)
     p_all.add_argument("--long", action="store_true")
     p_all.add_argument("--format", choices=["text", "json"], default="text")
-    p_all.add_argument("--max-n", type=int, default=None,
-                       help="override the size guard for this command")
     p_all.set_defaults(func=cmd_verify_all)
 
     return parser

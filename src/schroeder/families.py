@@ -65,9 +65,6 @@ class FamilySpec(Record):
     kind needs one; checked at construction."""
 
     __slots__ = _fields = ("kind", "n", "p")
-    kind: Family
-    n: int
-    p: int | None
 
     def __init__(self, kind: Family, n: int, p: int | None = None) -> None:
         Record.__init__(self, kind, n, p)
@@ -276,9 +273,6 @@ class Census(Record):
     of distinct kernels (R*-classes) and of distinct images (L*-classes)."""
 
     __slots__ = _fields = ("order", "kernels", "images")
-    order: int
-    kernels: tuple[int, ...]
-    images: tuple[int, ...]
 
     def __init__(self, order: int, kernels: tuple[int, ...], images: tuple[int, ...]) -> None:
         Record.__init__(self, order, kernels, images)

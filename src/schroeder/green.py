@@ -364,8 +364,6 @@ class EqPartition(Record):
     """A partition of a table's element indices into classes."""
 
     __slots__ = _fields = ("class_id", "classes")
-    class_id: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
 
     def __init__(self, class_id: tuple[int, ...], classes: tuple[tuple[int, ...], ...]) -> None:
         Record.__init__(self, class_id, classes)
@@ -591,10 +589,6 @@ class AbundanceReport(Record):
     __slots__ = _fields = (
         "right_abundant", "left_abundant", "rstar_idempotent_counts", "lstar_witness"
     )
-    right_abundant: bool
-    left_abundant: bool
-    rstar_idempotent_counts: tuple[int, ...]
-    lstar_witness: tuple[int, ...] | None  # an idempotent-free L*-class
 
     def __init__(
         self,

@@ -98,7 +98,9 @@ class PartialMap:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.vector,))  # fixes the iteration order of sets of maps
+        # the hash a frozen dataclass gives, so under a fixed PYTHONHASHSEED
+        # (perfbench uses 0) sets of maps iterate in the dataclass's order
+        return hash((self.vector,))
 
     def __lt__(self, other):
         if not isinstance(other, PartialMap):

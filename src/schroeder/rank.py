@@ -102,11 +102,6 @@ class RankResult(Record):
     that size, all as indices of the table."""
 
     __slots__ = _fields = ("rank", "essential", "certified", "generating_set", "notes")
-    rank: int | None
-    essential: frozenset
-    certified: bool
-    generating_set: tuple[int, ...]
-    notes: str
 
     def __init__(
         self,

@@ -473,15 +473,6 @@ def test_verify_all(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("argv", [("--n-max", "9"), ("--n-max", "4", "--max-n", "3")])
-def test_verify_all_guard(capsys, argv):
-    # the guard defaults to VERIFY_ALL_GUARD = 8, and --max-n moves it
-    code, out, err = run(capsys, "verify-all", *argv)
-    assert code == 3
-    assert out == ""
-    assert "raise --max-n" in err
-
-
 def test_verify_all_json(capsys):
     code, out, _ = run(capsys, "verify-all", "--n-max", "3", "--format", "json")
     assert code == 0
