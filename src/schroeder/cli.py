@@ -60,12 +60,11 @@ GREEN_GUARD = 10
 # generators: the D-classes of ideal (9,3) take 1035 MB
 GREEN_IDEAL_GUARD = 8
 # rank certifies from the top layers, then closes the generating set over
-# the whole target: SS'(11) takes 20 s and 329 MB on a 2-vCPU VM, and
-# SS'(12) runs past 60 s
+# the whole target: SS'(11) takes 11-17 s and 325 MB on a 2-vCPU VM, and
+# SS'(12) closes about 5x as many maps in about 5x the memory
 RANK_GUARD = 11
 # ideals and quotients run the oracle on the quotient at height p itself: on a
-# 2-vCPU VM every one at n=9 takes at most 12.3 s (ideal (9,4)) and 474 MB
-# (quotient (9,4))
+# 2-vCPU VM every one at n=9 takes at most 5.6-6.7 s and 472 MB (ideal (9,4))
 RANK_QUOTIENT_GUARD = 9
 # the definitional starred relations cancel over S^1 in the product table: on
 # a 2-vCPU VM L*/R* take 0.50 / 0.73 s and 27 MB at n=6, and 11.3 / 10.5 s and

@@ -10,7 +10,10 @@ is ``len(set(v)) - 1``.  Composition is left-to-right: ``x (a * b) =
 table, so the vector of a*b is ``va.translate(tb)``, one C call: the one
 composition kernel, behind :func:`compose`, ``a * b``, ``is_idempotent``,
 :func:`closure` (through :func:`closure_vectors`) and the product rows of
-``green.SemigroupTable``.
+``green.SemigroupTable``.  Since a*b depends on b only through b
+restricted to Im a, :func:`closure_vectors` composes each reached map once
+per distinct restriction of the generators to its image, found once per
+image.
 
 Maps are checked where they enter (``PartialMap(n, pairs)``, ``of``,
 ``empty``, ``from_vector`` and :func:`parse`); a product of valid vectors is
@@ -186,10 +189,15 @@ class PartialMap:
 
     def encode(self) -> str:
         """Canonical text form: "-" for the empty map, else "d:v,d:v,..."."""
-        return ",".join([f"{d}:{x}" for d, x in enumerate(self.vector) if x]) or "-"
+        return ",".join([_POINTS[d] + _VALUES[x] for d, x in enumerate(self.vector) if x]) or "-"
 
     def __str__(self) -> str:
         return self.encode()
+
+
+# the text of each point with its colon, and of each value, for encode
+_POINTS = [f"{d}:" for d in range(256)]
+_VALUES = [str(x) for x in range(256)]
 
 
 def _wrap(v: bytes) -> PartialMap:
@@ -235,26 +243,40 @@ def compose(a: PartialMap, b: PartialMap) -> PartialMap:
 def closure(generators: Iterable[PartialMap]) -> set[PartialMap]:
     """Least composition-closed superset of the generators.
 
-    Worklist search over right multiplication by the generators, so every
-    product g1 g2 ... gk is reached left to right; each generator's table is
-    built once.  The generators must share one n, else ValueError.
+    Worklist search over right multiplication, so every product g1 g2 ... gk
+    is reached left to right (see :func:`closure_vectors`).  The generators
+    must share one n, else ValueError.
     """
     return set(map(_wrap, closure_vectors(generators)))
 
 
 def closure_vectors(generators: Iterable[PartialMap]) -> set[bytes]:
     """The byte vectors of :func:`closure`, none wrapped in a map: half the
-    memory where only the closure's size is needed."""
+    memory where only the closure's size is needed.
+
+    x*g is ``x.translate(t_g)``, so it depends on g only through g
+    restricted to Im x.  The first reached map of each image composes every
+    generator, and generators giving it equal products have equal
+    restrictions; one table per product is kept for that image, keyed by
+    ``frozenset(v)`` (the image and 0), and every map of the image composes
+    only those.  Each generator has a representative with its restriction,
+    so no product is missed.
+    """
     gens = list(generators)
     if not gens:
         return set()
     ambient_size(gens)
     seen = {a.vector for a in gens}
     tables = [_table(v) for v in seen]
+    by_image: dict[frozenset, list[bytes]] = {}
     work = list(seen)
     while work:
         v = work.pop()
-        for t in tables:
+        key = frozenset(v)
+        reps = by_image.get(key)
+        if reps is None:
+            reps = by_image[key] = list({v.translate(t): t for t in tables}.values())
+        for t in reps:
             c = v.translate(t)
             if c not in seen:
                 seen.add(c)

@@ -376,7 +376,7 @@ def test_rank_guard(capsys):
 
 def test_rank_guard_table_size(capsys):
     # SS'(12) has 13,648,869 maps, about 5 times as many as SS'(11), whose
-    # closure takes 20 s and 329 MB
+    # closure takes most of the 11-17 s and 325 MB of rank --n 11
     code, out, err = run(capsys, "rank", "--n", "12")
     assert code == 3
     assert out == ""
@@ -385,7 +385,7 @@ def test_rank_guard_table_size(capsys):
 
 def test_rank_ideal_guard(capsys):
     # ideals and quotients run the oracle on the quotient at height p, which
-    # takes up to 23 s and 724 MB at n = 9, so both stop at n = 10; the whole
+    # takes up to 5.6-6.7 s and 472 MB at n = 9, so both stop at n = 10; the whole
     # SS'(9) as an ideal runs within the guard
     for target in ("ideal", "quotient"):
         code, out, err = run(capsys, "rank", "--target", target, "--n", "10", "--p", "4")

@@ -135,6 +135,34 @@ def test_encode_parse_round_trip():
             assert parse(a.encode(), n) == a
 
 
+def encode_reference(a):
+    """The text form written pair by pair with an f-string."""
+    return ",".join([f"{d}:{x}" for d, x in a.pairs]) or "-"
+
+
+def test_encode_matches_the_f_string_form_on_ls4():
+    maps = enumerate_family(FamilySpec(Family.LS, 4))
+    assert any(1 in a.domain() for a in maps)
+    for a in maps:
+        assert a.encode() == encode_reference(a)
+
+
+@pytest.mark.parametrize("n", [10, 100, 255])
+def test_encode_matches_the_f_string_form_with_long_numbers(n):
+    """Points and values of one, two and three digits, up to n = 255."""
+    rng = random.Random(n)
+    maps = [PartialMap.empty(n), PartialMap.of(n, {n: n}), PartialMap.of(n, {1: n, n: 1}),
+            PartialMap.of(n, {d: n + 1 - d for d in range(1, n + 1)})]
+    for _ in range(40):
+        points = sorted(rng.sample(range(1, n + 1), rng.randint(1, min(n, 12))))
+        maps.append(PartialMap(n, tuple((d, rng.randint(1, n)) for d in points)))
+    for a in maps:
+        assert a.encode() == encode_reference(a)
+        assert parse(a.encode(), n) == a
+    digits = {len(str(x)) for a in maps for pair in a.pairs for x in pair}
+    assert digits == ({1, 2, 3} if n >= 100 else {1, 2})
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse("2-1", 3)

@@ -316,12 +316,52 @@ def test_closure_matches_compose_reference_on_random_maps(n):
     assert n == 1 or any(not a.is_isotone() for a in drawn)
 
 
+def merges_restrictions(generators, reached):
+    """Whether two generators compose to one product with some reached
+    nonempty map, so that they share a restriction class of its image."""
+    return any(len({a * g for g in generators}) < len(generators) for a in reached if a.height())
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_closure_matches_compose_reference_on_ss_prime(ss, n):
-    for gens in (ss_prime_minimal_generators(n), [a for a in ss(n) if a.height() == n - 1]):
+    """The minimum generators, the top height, the idempotents, and the
+    idempotents with the requisites."""
+    idems = [a for a in ss(n) if a.is_idempotent()]
+    reqs = [a for a in ss(n) if is_requisite(a)]
+    for gens in (ss_prime_minimal_generators(n), [a for a in ss(n) if a.height() == n - 1],
+                 idems, idems + reqs):
         expected = closure_reference(gens)
         assert closure(gens) == expected
         assert closure_vectors(gens) == {a.vector for a in expected}
+        assert n < 3 or merges_restrictions(gens, expected)
+
+
+G_CASES = [(n, p) for n in range(2, 8) for p in range(1, n)]
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [pytest.param(n, p, marks=pytest.mark.long) if (n, p) in {(7, 3), (7, 4)} else (n, p)
+     for n, p in G_CASES],
+    ids=[f"n{n}-p{p}" for n, p in G_CASES],
+)
+def test_closure_matches_reference_on_generating_set_G(n, p):
+    gens = sorted(generating_set_G(n, p))
+    expected = closure_reference(gens)
+    assert closure(gens) == expected
+    assert merges_restrictions(gens, expected)
+
+
+def test_closure_matches_reference_on_large_random_draws():
+    """Seeded draws of 10-40 maps from every partial map of {1..4}: many
+    generators share a restriction to each image."""
+    maps = list(all_partial_maps(4))
+    rng = random.Random(4)
+    for _ in range(12):
+        gens = rng.sample(maps, rng.randint(10, 40))
+        expected = closure_reference(gens)
+        assert closure(gens) == expected
+        assert merges_restrictions(gens, expected)
 
 
 def test_closure_rejects_mixed_or_oversized_n():
