@@ -2,7 +2,8 @@
 queries, rank verification, and a one-shot verification suite.
 
 Exit codes: 0 success (all rows PASS where applicable), 1 verification
-failure, 2 usage error, 3 size guard exceeded (raise --max-n to override).
+failure, 2 usage error, 3 size guard exceeded (raise --max-n to override;
+the guard of verify-all is fixed).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .families import (
     binom,
     census,
     count_idempotents,
+    family_blocks,
     formula_idempotents,
     formula_rstar_classes,
     height_counts,
-    iter_family,
     schroeder_small,
     ss_prime_minimal_generators,
 )
@@ -47,13 +48,13 @@ from .rank import (
 # characterized starred relations group what they enumerate: on a 2-vCPU VM
 # L* at n=11 takes 58 s and 830 MB
 ENUM_GUARD = 10
-# invariants reads the scan's byte vectors and builds no map: on a 2-vCPU VM
-# --n 11 takes 9-13 s (7-10 s of it the census) and 20 MB
-INVARIANTS_GUARD = 11
-# enumerate writes each code as the scan reaches it and holds no family: on a
-# 2-vCPU VM --format json takes 2.5 s at n=11, 14 s at n=12 and 72 s at n=13,
-# each under 19 MB
-ENUMERATE_GUARD = 12
+# invariants reads the scan's byte vectors block by block and builds no map:
+# on a 2-vCPU VM --n 11 takes 4.0-5.2 s and 23 MB, --n 12 18-19 s and 38 MB
+INVARIANTS_GUARD = 12
+# enumerate writes each block of codes as the scan makes it and holds no
+# family: on a 2-vCPU VM --format json takes 0.7 s at n=11, 2.9 s and 27 MB
+# at n=12, and 12-14 s and 32 MB at n=13
+ENUMERATE_GUARD = 13
 # classical relations at n=10, 2-vCPU VM: L/R/H/D/J take 24-34 s and under 800 MB
 GREEN_GUARD = 10
 # ideals and quotients seed their Cayley graphs with G(n,p), hundreds of
@@ -93,39 +94,36 @@ def _fail_guard(message: str) -> int:
 # -- enumerate ----------------------------------------------------------
 
 
-def _batches(items, size: int = 4096):
-    items = iter(items)
-    while batch := list(itertools.islice(items, size)):
-        yield batch
-
-
 def cmd_enumerate(args) -> int:
     if args.n < 2:
         return _fail_usage("family enumeration needs n >= 2 (n=1 gives the empty family)")
     guard = args.max_n if args.max_n is not None else ENUMERATE_GUARD
     if args.n > guard:
         return _fail_guard(f"enumeration too large at n={args.n}; raise --max-n")
-    # each member is written as the scan reaches it; the family is never held
-    members = iter_family(FamilySpec(Family(args.family), args.n, args.p))
+    # each block is written as the scan makes it; the family is never held
+    blocks = family_blocks(FamilySpec(Family(args.family), args.n, args.p))
     out = sys.stdout
     if args.format == "text":
-        for batch in _batches(code for code, _ in members):
-            out.write("\n".join(batch) + "\n")
+        for codes, _ in blocks:
+            if codes:
+                out.write("\n".join(codes) + "\n")
     elif args.format == "json":
         # the document json.dumps would print, written piecewise: a code
         # holds only digits and ":,-", which JSON quotes as they are
         head = json.dumps({"family": args.family, "n": args.n, "p": args.p, "elements": []})
         out.write(head[:-2])  # up to the opening "["
         sep = ""
-        for batch in _batches(code for code, _ in members):
-            out.write(sep + '"' + '", "'.join(batch) + '"')
-            sep = ", "
+        for codes, _ in blocks:
+            if codes:
+                out.write(sep + '"' + '", "'.join(codes) + '"')
+                sep = ", "
         out.write("]}\n")
     else:
         writer = csv.writer(out)
         writer.writerow(["element", "height"])
         # the height is the number of distinct nonzero bytes of the vector
-        writer.writerows((code, len(set(v)) - 1) for code, v in members)
+        for codes, vecs in blocks:
+            writer.writerows(zip(codes, [len(set(v)) - 1 for v in vecs]))
     return EXIT_OK
 
 
@@ -151,7 +149,8 @@ def _invariant_rows(n: int):
         })
         t0 = t1
 
-    counts = census(v for _, v in iter_family(FamilySpec(Family.SS_PRIME, n)))
+    blocks = family_blocks(FamilySpec(Family.SS_PRIME, n))
+    counts = census(itertools.chain.from_iterable(vecs for _, vecs in blocks))
     add("|SS'|", schroeder_small(n), counts.order)
     add("idempotents", formula_idempotents(n), count_idempotents(n))
     for p in range(n):

@@ -3,16 +3,20 @@ counting formulas they satisfy, and the distinguished generating sets built
 from them.
 
 Every family but the requisites comes from one depth-first scan over the
-domain points (``_scan``), not from filtering all (n+1)^n partial maps: a
+domain points (``_blocks``), not from filtering all (n+1)^n partial maps: a
 code "d1:v1,...,dk:vk" grows by a point d above dk with a value v,
 max(vk,1) <= v <= d, so every prefix is itself an isotone order-decreasing
 map.  The scan visits the children of a prefix in text order and emits each
 prefix before them, so it lists a family in canonical text order (that of
-``encode()``) with no sort, building each code once from its parent's.
-Heights outside the asked range are pruned.  ``iter_heights`` scans
-SS'(n) between two heights, the band every family of SS'(n) and every
-target table of ``green`` is read from; ``iter_family`` streams the
-(code, vector) pairs of a family; ``enumerate_family`` lists the maps.
+``encode()``) with no sort.  Heights outside the asked range are pruned.
+The prefixes before the middle point are walked one by one; below them,
+each subtree is built once as a table of code suffixes and vector tails and
+emitted behind every prefix that reaches it, so the scan yields blocks,
+pairs of parallel lists of codes and vectors.  ``family_blocks`` reads a
+family as blocks; ``iter_heights`` scans SS'(n) between two heights, the
+band every target table of ``green`` is read from, and ``iter_family``
+streams a family, both one (code, vector) pair at a time;
+``enumerate_family`` lists the maps.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "Family",
     "FamilySpec",
     "enumerate_family",
+    "family_blocks",
     "iter_family",
     "iter_heights",
     "schroeder_small",
@@ -76,10 +81,18 @@ class FamilySpec(Record):
             raise ValueError(f"need 0 <= p <= n-1, got p={self.p}, n={self.n}")
 
 
-def _scan(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
+# the maps a block of the scan holds at least, but for its last block
+_BLOCK = 512
+# the table of a walked node: itself, and nothing below it
+_WALKED_CODE = [""]
+_WALKED_VECTOR = [b""]
+
+
+def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[tuple[list[str], list[bytes]]]:
     """The code and byte vector of every isotone order-decreasing map of
     {1..n} whose domain lies in the pool and whose height lies in lo..hi,
-    in canonical text order.
+    in canonical text order, as blocks: pairs of parallel lists of codes
+    and vectors.
 
     A node of the scan is a prefix "d1:v1,...,dk:vk" of a code.  Its
     children append "d:v" with d > dk in the pool and max(vk,1) <= v <= d
@@ -89,15 +102,27 @@ def _scan(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[tuple[str
     digits, so this pre-order is the order of ``encode()``, also where
     two-digit points and values appear ("10:" < "1:" < "2:", "1" < "10").
     A child whose height passes hi, or whose remaining points can no longer
-    lift it to lo, is pruned.  An explicit stack carries each node's code
-    and vector, so every code is built once from its parent's.
+    lift it to lo, is pruned.
+
+    What lies below a node depends only on its last point and value and on
+    the heights it may still add, clipped to what its points above can
+    add.  So from the middle point m = n - n//2 + 1 on, the subtree of a
+    node is built once per such key, as code suffixes and vector tails
+    made from its children's, and every node that reaches the key emits it
+    whole behind its own code and vector.  Nodes before m are walked with
+    an explicit stack that carries each node's code and vector, so every
+    walked code is built once from its parent's.  What the nodes emit is
+    gathered into blocks of at least _BLOCK maps, so that narrow bands,
+    whose subtrees hold a few maps each, do not pay per subtree.
     """
     points = sorted(pool, key=lambda d: f"{d}:")
+    mid = n - n // 2 + 1
     # the most a node at point d can still grow: one per pool point above d
     room = {d: sum(e > d for e in pool) for d in (0, *pool)}
-    # the children of a node by its (last point, last value), each with its
-    # token, the tail of its vector from its point on and its own children;
-    # reversed, so that the stack pops them in text order
+    # the children of a node by its (last point, last value), in text order,
+    # each with its token, point, value, the height it adds, its room, and
+    # its vector from its point on: to the end for a walked node, its value
+    # alone for a node whose subtree is a table
     kids: dict[tuple[int, int], list] = {(0, 0): []}
     kids.update({(d, v): [] for d in pool for v in range(1, d + 1)})
     for (last, val), children in kids.items():
@@ -105,68 +130,141 @@ def _scan(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[tuple[str
             if d > last:
                 for v in sorted(range(max(val, 1), d + 1), key=str):
                     tok = f",{d}:{v}" if last else f"{d}:{v}"
-                    children.append((tok, d, bytes((v,)) + bytes(n - d), v > val, kids[d, v], room[d]))
-        children.reverse()
-    stack = [("", bytes(n + 1), kids[0, 0], 0)]
+                    tail = bytes((v,)) + bytes(n - d) if d < mid else bytes((v,))
+                    children.append((tok, d, v, v > val, room[d], tail))
+    # reversed, so that the stack pops them in text order
+    walk = {key: children[::-1] for key, children in kids.items() if key[0] < mid}
+    tables: dict[tuple[int, int, int, int], tuple[list[str], list[bytes]]] = {}
+
+    def subtree(d: int, v: int, a: int, b: int) -> tuple[list[str], list[bytes]]:
+        """The code suffixes and the vector tails (points d+1..n) of the
+        nodes below one at point d with value v, itself included, that add
+        a..b to its height, in pre-order."""
+        table = tables.get((d, v, a, b))
+        if table is None:
+            sfx, tails = ([""], [bytes(n - d)]) if a == 0 else ([], [])
+            for tok, e, w, up, r, _ in kids[d, v]:
+                if up <= b and a - up <= r:
+                    codes, vecs = subtree(e, w, max(a - up, 0), min(b - up, r))
+                    head = bytes(e - d - 1) + bytes((w,))
+                    sfx += [tok + s for s in codes]
+                    tails += [head + t for t in vecs]
+            table = tables[d, v, a, b] = sfx, tails
+        return table
+
+    # the nodes to emit, each as its code or vector and the table of what
+    # it heads (the empty suffix alone for a walked node)
+    heads: list[tuple[str, list[str]]] = []
+    bodies: list[tuple[bytes, list[bytes]]] = []
+    size = 0
+
+    def block() -> tuple[list[str], list[bytes]]:
+        return [c + s for c, sfx in heads for s in sfx], [b + t for b, tails in bodies for t in tails]
+
+    # a table node's table by its (point, value, height): the band is fixed
+    at: dict[tuple[int, int, int], tuple[list[str], list[bytes]]] = {}
+    stack = [("", bytes(n + 1), 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        code, vec, children, h = pop()
+        code, vec, d, v, h = pop()
+        if d >= mid:
+            table = at.get((d, v, h))
+            if table is None:
+                table = at[d, v, h] = subtree(d, v, max(lo - h, 0), min(hi - h, room[d]))
+            heads.append((code, table[0]))
+            bodies.append((vec, table[1]))
+            size += len(table[0])
+            if size >= _BLOCK:
+                yield block()
+                heads.clear()
+                bodies.clear()
+                size = 0
+            continue
         if h >= lo:
-            yield code or "-", vec
-        for tok, d, tail, up, grandchildren, r in children:
+            heads.append((code or "-", _WALKED_CODE))
+            bodies.append((vec, _WALKED_VECTOR))
+        for tok, e, w, up, r, tail in walk[d, v]:
             g = h + up
             if g <= hi and g + r >= lo:
-                push((code + tok, vec[:d] + tail, grandchildren, g))
+                push((code + tok, vec[:e] + tail, e, w, g))
+    if heads:
+        yield block()
+
+
+def _pairs(blocks: Iterable[tuple[list[str], list[bytes]]]) -> Iterator[tuple[str, bytes]]:
+    """The (code, vector) pairs of the blocks, one at a time."""
+    return itertools.chain.from_iterable(itertools.starmap(zip, blocks))
+
+
+def _height_blocks(n: int, lo: int, hi: int) -> Iterator[tuple[list[str], list[bytes]]]:
+    """The members of SS'(n) of height lo..hi, as blocks."""
+    return _blocks(n, tuple(range(2, n + 1)), lo, hi)
 
 
 def iter_heights(n: int, lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
     """The code and byte vector of every member of SS'(n) of height lo..hi,
     in canonical text order."""
-    return _scan(n, tuple(range(2, n + 1)), lo, hi)
+    return _pairs(_height_blocks(n, lo, hi))
 
 
-def _idempotents(n: int, lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
-    """The members of SS'(n) of height lo..hi that are idempotent: each
-    scanned vector, padded to a ``bytes.translate`` table, is squared once."""
+def _idempotent_blocks(n: int, lo: int, hi: int) -> Iterator[tuple[list[str], list[bytes]]]:
+    """The members of SS'(n) of height lo..hi that are idempotent, as
+    blocks: each scanned vector, padded to a ``bytes.translate`` table, is
+    squared once."""
     pad = bytes(255 - n)
-    return ((code, v) for code, v in iter_heights(n, lo, hi) if v.translate(v + pad) == v)
+    for codes, vecs in _height_blocks(n, lo, hi):
+        keep = [v.translate(v + pad) == v for v in vecs]
+        yield list(itertools.compress(codes, keep)), list(itertools.compress(vecs, keep))
+
+
+def _ss_blocks(n: int) -> Iterator[tuple[list[str], list[bytes]]]:
+    """The members of LS(n) with 1 in their domain, as blocks."""
+    for codes, vecs in _blocks(n, tuple(range(1, n + 1)), 0, n):
+        keep = [v[1] for v in vecs]
+        yield list(itertools.compress(codes, keep)), list(itertools.compress(vecs, keep))
+
+
+def family_blocks(spec: FamilySpec) -> Iterator[tuple[list[str], list[bytes]]]:
+    """The members of the family as blocks, pairs of parallel lists of
+    canonical codes and byte vectors that end to end list the family in
+    canonical text order; a block may be empty.  Each block is made as the
+    scan reaches it, so the family is never held; only the requisites,
+    C(n-1,p-1) of them, are made first and sorted into one block."""
+    n, p, kind = spec.n, spec.p, spec.kind
+    if kind is Family.SS_PRIME:
+        return _height_blocks(n, 0, n - 1)
+    if kind is Family.LS:
+        return _blocks(n, tuple(range(1, n + 1)), 0, n)
+    if kind is Family.SS:
+        return _ss_blocks(n)
+    if kind is Family.IDEAL_K:
+        return _height_blocks(n, 0, p)
+    if kind is Family.JSTAR_SLICE:
+        return _height_blocks(n, p, p)
+    if kind is Family.IDEMPOTENTS:
+        return _idempotent_blocks(n, *((0, n - 1) if p is None else (p, p)))
+    if kind is Family.REQUISITE:
+        if p == 0:
+            return iter(())
+        # one requisite per image {1} + (p-1 points of {2..n})
+        reqs = sorted((a.encode(), a.vector) for a in (
+            requisite_from_image(n, (1, *rest))
+            for rest in itertools.combinations(range(2, n + 1), p - 1)))
+        return iter([([code for code, _ in reqs], [v for _, v in reqs])])
+    raise ValueError(f"unsupported family {spec.kind}")  # pragma: no cover
 
 
 def iter_family(spec: FamilySpec) -> Iterator[tuple[str, bytes]]:
     """The canonical code and byte vector of each member of the family, in
-    canonical text order, made as the scan reaches it, so no member is held;
-    only the requisites, C(n-1,p-1) of them, are made first and sorted."""
-    n, p = spec.n, spec.p
-    if spec.kind is Family.SS_PRIME:
-        yield from iter_heights(n, 0, n - 1)
-    elif spec.kind is Family.LS:
-        yield from _scan(n, tuple(range(1, n + 1)), 0, n)
-    elif spec.kind is Family.SS:
-        for code, v in _scan(n, tuple(range(1, n + 1)), 0, n):
-            if v[1]:
-                yield code, v
-    elif spec.kind is Family.IDEAL_K:
-        yield from iter_heights(n, 0, p)
-    elif spec.kind is Family.JSTAR_SLICE:
-        yield from iter_heights(n, p, p)
-    elif spec.kind is Family.IDEMPOTENTS:
-        lo, hi = (0, n - 1) if p is None else (p, p)
-        yield from _idempotents(n, lo, hi)
-    elif spec.kind is Family.REQUISITE:
-        if p == 0:
-            return
-        # one requisite per image {1} + (p-1 points of {2..n})
-        reqs = (requisite_from_image(n, (1, *rest))
-                for rest in itertools.combinations(range(2, n + 1), p - 1))
-        yield from sorted((a.encode(), a.vector) for a in reqs)
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported family {spec.kind}")
+    canonical text order: the blocks of :func:`family_blocks` one pair at a
+    time."""
+    return _pairs(family_blocks(spec))
 
 
 def enumerate_family(spec: FamilySpec) -> list[PartialMap]:
     """All members of the family in canonical text order, as
-    :func:`iter_family` makes them."""
-    return [PartialMap.from_vector(v) for _, v in iter_family(spec)]
+    :func:`family_blocks` makes them."""
+    return [PartialMap.from_vector(v) for _, vecs in family_blocks(spec) for v in vecs]
 
 
 # -- counting formulas ---------------------------------------------------
@@ -200,8 +298,9 @@ def binom(m: int, k: int) -> int:
 
 
 def count_idempotents(n: int) -> int:
-    """The idempotents of SS'(n), counted as the scan makes them."""
-    return sum(1 for _ in iter_family(FamilySpec(Family.IDEMPOTENTS, n)))
+    """The idempotents of SS'(n), counted block by block as the scan makes
+    them."""
+    return sum(len(vecs) for _, vecs in _idempotent_blocks(n, 0, n - 1))
 
 
 def formula_idempotents(n: int) -> int:
@@ -282,22 +381,30 @@ def census(vectors: Iterable[bytes]) -> Census:
     """All the counts of :class:`Census` in one pass over the byte vectors of
     SS'(n), listed or streamed; no map is built.  Each kernel is counted by
     its kernel vector, ranked as :func:`pmap.kernel_vector` ranks it through
-    the sorted image the image count needs anyway.  ``count_rstar_classes``
-    and ``count_lstar_classes`` are the slow references.  Idempotents are
-    left to ``count_idempotents``, which squares each scanned vector."""
+    the sorted image.  That rank table and the height are made once per
+    distinct image, the key the image count needs anyway.
+    ``count_rstar_classes`` and ``count_lstar_classes`` are the slow
+    references.  Idempotents are left to ``count_idempotents``, which
+    squares each scanned vector."""
     vectors = iter(vectors)
     first = next(vectors, None)
     if first is None:
         raise ValueError("census needs at least one map")
     kernels: list[set] = [set() for _ in range(len(first) - 1)]
-    images: list[set] = [set() for _ in range(len(first) - 1)]
+    # per distinct image: its rank table and the kernels of its height
+    ranks: dict[frozenset, tuple[bytes, set]] = {}
     order = 0
     for order, v in enumerate(itertools.chain((first,), vectors), 1):
-        image = bytes(sorted(set(v)))  # led by v[0] = 0, which keeps rank 0
-        h = len(image) - 1
-        kernels[h].add(v.translate(bytes.maketrans(image, _RANKS[:h + 1])))
-        images[h].add(image)
-    return Census(order, tuple(map(len, kernels)), tuple(map(len, images)))
+        image = frozenset(v)
+        rank = ranks.get(image)
+        if rank is None:
+            values = bytes(sorted(image))  # led by v[0] = 0, which keeps rank 0
+            rank = ranks[image] = (bytes.maketrans(values, _RANKS[:len(values)]), kernels[len(values) - 1])
+        rank[1].add(v.translate(rank[0]))
+    images = [0] * len(kernels)
+    for image in ranks:
+        images[len(image) - 1] += 1
+    return Census(order, tuple(map(len, kernels)), tuple(images))
 
 
 # -- distinguished generating sets ------------------------------------------
@@ -307,9 +414,10 @@ def _idempotents_at(n: int, lo: int, hi: int) -> dict[int, set[PartialMap]]:
     """The idempotents of SS'(n) of each height lo..hi, from one scan of
     those heights."""
     found: dict[int, set[PartialMap]] = {p: set() for p in range(lo, hi + 1)}
-    for _, v in _idempotents(n, lo, hi):
-        a = PartialMap.from_vector(v)
-        found[a.height()].add(a)
+    for _, vecs in _idempotent_blocks(n, lo, hi):
+        for v in vecs:
+            a = PartialMap.from_vector(v)
+            found[a.height()].add(a)
     return found
 
 

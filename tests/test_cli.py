@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -96,7 +97,7 @@ def _enumerate_cases():
 def test_enumerate_csv_builds_no_map(capsys, monkeypatch):
     """The csv height is counted off the scanned byte vector: the output
     equals the listing printed whole, with no map built.  The requisites
-    are left out: ``iter_family`` makes them as maps to sort them."""
+    are left out: ``family_blocks`` makes them as maps to sort them."""
     cases = [(case, enumerate_reference(*case, "csv"))
              for case in _enumerate_cases() if case[0] is not Family.REQUISITE]
 
@@ -113,18 +114,47 @@ def test_enumerate_csv_builds_no_map(capsys, monkeypatch):
 
 
 def test_enumerate_holds_no_family(capsys, monkeypatch):
+    # enumerate writes the blocks of family_blocks as they come
+    walked = []
+    real_blocks = schroeder.families.family_blocks
+
+    def blocks(spec):
+        walked.append(spec.kind)
+        return real_blocks(spec)
+
     def refuse(spec):
         raise AssertionError("enumerate listed the family")
 
+    monkeypatch.setattr(schroeder.cli, "family_blocks", blocks)
     monkeypatch.setattr(schroeder.families, "enumerate_family", refuse)
     for fmt in ("text", "json", "csv"):
         code, out, _ = run(capsys, "enumerate", "--family", "ss-prime", "--n", "7",
                            "--format", fmt)
         assert code == 0 and out
+    assert walked == [Family.SS_PRIME] * 3
+
+
+ENUMERATE_GOLDEN = (Path(__file__).parent / "golden" / "enumerate_sha256.jsonl").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "line", ENUMERATE_GOLDEN,
+    ids=[f"{d['family']}-n{d['n']}-p{d['p']}-{d['format']}" for d in map(json.loads, ENUMERATE_GOLDEN)],
+)
+def test_enumerate_matches_golden(capsys, line):
+    """``enumerate`` of every family in every format at n = 2, 5 and 9, at
+    heights p = 1 and n-2 where the family needs one, prints exactly the
+    output whose SHA-256 digest was recorded: block joins, separators and
+    the empty blocks the ``ss`` and ``idempotents`` filters leave."""
+    doc = json.loads(line)
+    argv = ["enumerate", "--family", doc["family"], "--n", str(doc["n"]), "--format", doc["format"]]
+    code, out, _ = run(capsys, *argv, *(["--p", str(doc["p"])] if doc["p"] is not None else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == doc["sha256"]
 
 
 def test_enumerate_guard(capsys):
-    code, _, err = run(capsys, "enumerate", "--family", "ss-prime", "--n", "13")
+    code, _, err = run(capsys, "enumerate", "--family", "ss-prime", "--n", "14")
     assert code == 3
     assert "--max-n" in err
 
@@ -147,21 +177,21 @@ def test_invariants_pass(capsys):
 
 
 def test_invariants_enumerates_once(capsys, monkeypatch):
-    # the census streams SS'(n) once through iter_family, holding no list;
+    # the census streams SS'(n) once through family_blocks, holding no list;
     # count_idempotents counts E(SS'(n)) as the scan makes it, listing nothing
     walked, listed = [], []
-    real_iter = schroeder.families.iter_family
+    real_blocks = schroeder.families.family_blocks
     real_enumerate = schroeder.families.enumerate_family
 
     def iterating(spec):
         walked.append(spec.kind)
-        return real_iter(spec)
+        return real_blocks(spec)
 
     def listing(spec):
         listed.append(spec.kind)
         return real_enumerate(spec)
 
-    monkeypatch.setattr(schroeder.cli, "iter_family", iterating)
+    monkeypatch.setattr(schroeder.cli, "family_blocks", iterating)
     monkeypatch.setattr(schroeder.families, "enumerate_family", listing)
     code, _, _ = run(capsys, "invariants", "--n", "5")
     assert code == 0
@@ -500,13 +530,13 @@ def test_verify_all_checks_abundance_of_ideals_and_quotients(capsys):
 
 
 @pytest.mark.parametrize("command, n", [
-    (("enumerate", "--family", "ss-prime"), 13),
-    (("invariants",), 12),
+    (("enumerate", "--family", "ss-prime"), 14),
+    (("invariants",), 13),
 ])
 def test_enumeration_guard_stops_past_the_measured_frontier(capsys, command, n):
-    # enumerate streams each code as the scan reaches it and takes 72 s at
-    # n = 13; invariants reads the scan's vectors and the n below each stays
-    # allowed
+    # enumerate writes the scan's blocks of codes and takes 12-14 s at
+    # n = 13; invariants reads the scan's vectors and takes 18-19 s at
+    # n = 12; the n below each stays allowed
     code, out, err = run(capsys, *command, "--n", str(n))
     assert code == 3
     assert out == ""

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from families_reference import scan_reference
 from pmap_reference import all_partial_maps
 
 from schroeder import (
@@ -134,6 +135,83 @@ def test_height_slices_match_the_filtered_full_walk(n):
         for p in heights:
             assert_scan_matches_reference(walks, kind, n, p)
             assert enumerate_family(FamilySpec(kind, n, p)) == family_reference(walks, kind, n, p)
+
+
+def assert_blocks_match_reference(n, pool, lo, hi):
+    """The blocks of the scan, end to end, are the reference walk, compared
+    a slice at a time so that no band is held whole."""
+    got = itertools.chain.from_iterable(
+        zip(codes, vecs) for codes, vecs in schroeder.families._blocks(n, pool, lo, hi))
+    want = scan_reference(n, pool, lo, hi)
+    while True:
+        chunk = list(itertools.islice(got, 4096))
+        assert chunk == list(itertools.islice(want, 4096)), (n, pool, lo, hi)
+        if not chunk:
+            break
+
+
+def pools(n):
+    """The domain pools of the scan: {2..n} for SS'(n), {1..n} for LS(n)."""
+    return tuple(range(2, n + 1)), tuple(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_blocks_match_the_reference_walk_on_every_band(n):
+    for pool in pools(n):
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                assert_blocks_match_reference(n, pool, lo, hi)
+
+
+def edge_bands(n):
+    """The bands from height 0, of one height, and up to height n."""
+    return sorted({(0, h) for h in range(n + 1)} | {(h, h) for h in range(n + 1)}
+                  | {(h, n) for h in range(n + 1)})
+
+
+class Reader:
+    """Blocks read back as parallel lists of a given length, however the
+    blocks were cut."""
+
+    def __init__(self, blocks):
+        self.blocks, self.codes, self.vectors, self.at = iter(blocks), [], [], 0
+
+    def take(self, k):
+        codes, vectors = [], []
+        while len(codes) < k:
+            if self.at == len(self.codes):
+                block = next(self.blocks, None)
+                if block is None:
+                    break
+                (self.codes, self.vectors), self.at = block, 0
+            end = self.at + k - len(codes)
+            codes += self.codes[self.at:end]
+            vectors += self.vectors[self.at:end]
+            self.at = min(end, len(self.codes))
+        return codes, vectors
+
+
+@pytest.mark.parametrize("n", [
+    9, pytest.param(10, marks=pytest.mark.long), pytest.param(11, marks=pytest.mark.long),
+])
+def test_blocks_match_the_reference_walk_where_points_cross_the_middle(n):
+    """From n = 10 on, two-digit points sort before the one-digit ones, on
+    both sides of the middle point where the subtree tables start.  A band's
+    reference is the walk of every height filtered to the band, so one
+    reference walk per pool, read a slice at a time, serves every band."""
+    for pool in pools(n):
+        scans = {band: Reader(schroeder.families._blocks(n, pool, *band)) for band in edge_bands(n)}
+        walk = scan_reference(n, pool, 0, n)
+        while chunk := list(itertools.islice(walk, 1 << 16)):
+            codes = [code for code, _ in chunk]
+            vectors = [v for _, v in chunk]
+            heights = bytes(len(set(v)) - 1 for v in vectors)
+            for (lo, hi), scan in scans.items():
+                keep = heights.translate(bytes(lo <= h <= hi for h in range(256)))
+                want = list(itertools.compress(codes, keep)), list(itertools.compress(vectors, keep))
+                assert scan.take(len(want[0])) == want, (n, pool, lo, hi)
+        for band, scan in scans.items():
+            assert scan.take(1) == ([], []), (n, pool, band)
 
 
 @pytest.mark.long
@@ -312,12 +390,12 @@ def test_minimal_generators_match_reference(n):
 
 def test_minimal_generators_walk_once(monkeypatch):
     walks = []
-    real = schroeder.families._scan
+    real = schroeder.families._blocks
 
     def counting(n, domain_pool, lo, hi):
         walks.append((n, domain_pool, lo, hi))
         return real(n, domain_pool, lo, hi)
 
-    monkeypatch.setattr(schroeder.families, "_scan", counting)
+    monkeypatch.setattr(schroeder.families, "_blocks", counting)
     ss_prime_minimal_generators(6)
     assert walks == [(6, (2, 3, 4, 5, 6), 4, 5)]
