@@ -55,11 +55,11 @@ INVARIANTS_GUARD = 12
 # family: on a 2-vCPU VM --format json takes 0.7 s at n=11, 2.9 s and 27 MB
 # at n=12, and 12-14 s and 32 MB at n=13
 ENUMERATE_GUARD = 13
-# classical relations at n=10, 2-vCPU VM: L/R/H/D/J take 24-34 s and under 800 MB
+# classical relations at n=10, 2-vCPU VM: L/R/H/D/J take 6.6-18.7 s and under 680 MB
 GREEN_GUARD = 10
-# ideals and quotients seed their Cayley graphs with G(n,p), hundreds of
-# generators: the D-classes of ideal (9,3) take 1035 MB
-GREEN_IDEAL_GUARD = 8
+# ideals and quotients seed their Cayley graphs with G(n,p), hundreds of generators; at n=9
+# on a 2-vCPU VM the slowest relation takes 21-28 s (L, ideal (9,4)), the largest 678 MB
+GREEN_IDEAL_GUARD = 9
 # rank certifies from the top layers, then closes the generating set over
 # the whole target: SS'(11) takes 11-17 s and 325 MB on a 2-vCPU VM, and
 # SS'(12) closes about 5x as many maps in about 5x the memory

@@ -23,7 +23,7 @@ from .families import (
     schroeder_small,
     ss_prime_minimal_generators,
 )
-from .pmap import PartialMap, ambient_size
+from .pmap import PartialMap, _restriction_groups, ambient_size
 
 __all__ = [
     "Zero",
@@ -151,65 +151,29 @@ class SemigroupTable:
         """The product table, compressed: for each row u, the triple
         ``(class_of, members, composed)``.
 
-        a*b = {(d, b(a(d)))} depends on b only through its restriction to
-        Im a, so the columns fall into classes of equal restriction:
-        ``class_of[j]`` is the class of column j and ``members[c]`` the
-        columns of class c, both shared by the rows of one image.
-        ``composed[c]`` is u times every member of class c, composed once for
-        its first member through :meth:`products`, which checks closure and
-        applies the Rees collapse.  Under a Rees collapse every column whose
-        product with u is the zero lies in one class, the zero's own; so a
-        row composes its nonzero classes and the zero once.  The zero row is
-        one class whose product is the zero.
+        a*b depends on b only through b restricted to Im a, so the columns
+        fall into the classes of ``pmap._restriction_groups``, found once per
+        image: ``class_of[j]`` is the class of column j and ``members[c]``
+        the columns of class c.  ``composed[c]`` is u times every member of
+        class c, composed for its first member by :meth:`products`, which
+        checks closure and applies the Rees collapse.  Every column whose
+        product with u collapses lies in the zero's class, so a row composes
+        the zero once; the zero row is one class whose product is the zero.
         """
         if self._classes is None:
-            size, zi = len(self), self.zero_index
+            tables = self._translate_tables()
             by_image: dict = {}
             rows = []
             for i, a in enumerate(self.elements):
-                if i == zi:
-                    everything = [array("I", range(size))]
-                    rows.append((array("I", [0]) * size, everything, array("I", [zi])))
-                    continue
-                image = a.image()
-                if image not in by_image:
-                    by_image[image] = self._restriction_classes(a)
-                class_of, members, reps = by_image[image]
+                # the zero's empty vector puts every column in the zero's class
+                v = b"" if i == self.zero_index else a.vector
+                if (key := frozenset(v)) not in by_image:
+                    class_of, members = _restriction_groups(v, tables, self.collapse_below)
+                    by_image[key] = class_of, members, [m[0] for m in members]
+                class_of, members, reps = by_image[key]
                 rows.append((class_of, members, array("I", self.products(i, reps))))
             self._classes = rows
         return self._classes
-
-    def _restriction_classes(self, a: PartialMap) -> tuple[array, list[array], list[int]]:
-        """Group the columns b by b restricted to Im a: the class of each
-        column, the columns of each class, and the first column of each
-        class.  Each point of Im a is the image of a point, so the vector of
-        a*b, composed without the Rees collapse, determines the restriction
-        and keys the column.
-
-        Under a Rees collapse the zero's class also takes every column whose
-        key has at most ``collapse_below`` distinct bytes, the test
-        :meth:`products` applies: the key's nonzero bytes are b(Im a & Dom b),
-        so whether a*b collapses depends on the image and the restriction
-        only, as the class does."""
-        v = a.vector
-        cut = self.collapse_below
-        ids: dict = {}  # key -> class; None keys the zero's class
-        class_of = array("I")
-        members: list[list[int]] = []
-        for j, t in enumerate(self._translate_tables()):
-            key = None if t is None else v.translate(t)
-            c = ids.get(key)
-            if c is None:
-                if key is None or cut is not None and len(set(key)) <= cut:
-                    c = ids.setdefault(None, len(members))
-                else:
-                    c = len(members)
-                ids[key] = c
-                if c == len(members):
-                    members.append([])
-            members[c].append(j)
-            class_of.append(c)
-        return class_of, [array("I", m) for m in members], [m[0] for m in members]
 
     def full_table(self) -> list[array]:
         """The whole product table, one ``array('I')`` of product indices per
@@ -222,19 +186,20 @@ class SemigroupTable:
             ]
         return self._rows
 
-    def right_cayley(self) -> list[list[int]]:
-        """right[x] lists x*g for the generators g in ``_gens``, in their
-        order; see :func:`_right_cayley_graph`."""
+    def right_cayley(self) -> list[array]:
+        """right[x] holds the distinct x*g for g in ``_gens``: see :func:`_right_cayley_graph`."""
         if self._right is None:
             self._gens, self._right = _right_cayley_graph(self)
         return self._right
 
-    def left_cayley(self) -> list[tuple[int, ...]]:
-        """left[x] lists g*x for the generators g in ``_gens``, in their order."""
+    def left_cayley(self) -> list[array]:
+        """left[x] holds the distinct g*x for the generators g in ``_gens``,
+        from one row of :meth:`products` per generator."""
         if self._left is None:
             self.right_cayley()  # chooses the generators
             columns = range(len(self))
-            self._left = list(zip(*(self.products(g, columns) for g in self._gens)))
+            rows = [self.products(g, columns) for g in self._gens]
+            self._left = [array("I", set(column)) for column in zip(*rows)]
         return self._left
 
     def idempotent_indices(self) -> list[int]:
@@ -259,22 +224,28 @@ def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
     return sorted(index[a.vector] for a in hint if a.vector in index)
 
 
-def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
-    """A generating set A of the table and its right Cayley graph over A.
+def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[array]]:
+    """A generating set A of the table and its right Cayley graph over A,
+    each row the distinct successors of its element.
 
     Breadth-first search over right multiplications by A, starting from A,
     which is seeded by :func:`_generator_hint`.  Whenever the search ends
     with an element unreached, the first such element by descending height
-    joins A and the search extends from it.  Every x*g is looked up in the
-    table, which raises ValueError when it is missing.  So when this returns,
-    S*A is within S and S = <A>, hence S*S is within S: the set is closed.
+    joins A and the search extends from it.  x*g depends on g only through
+    g restricted to Im x, so x meets one generator per class of
+    ``pmap._restriction_groups``, found once per image and batch of A, and
+    distinct classes give distinct products.  Every member of a class has
+    its representative's product, and each is looked up in the table, which
+    raises ValueError when it is missing.  So when this returns, S*A is
+    within S and S = <A>, hence S*S is within S: the set is closed.
     """
-    size = len(table)
+    size, zi, cut = len(table), table.zero_index, table.collapse_below
     heights = [-1 if a is ZERO else a.height() for a in table.elements]
     order = sorted(range(size), key=lambda i: -heights[i])
-    right: list[list[int]] = [[] for _ in range(size)]
+    tables = table._translate_tables()
+    right = [array("I") for _ in range(size)]
+    done = [0] * size  # how many of the generators each element has met
     reached = [False] * size
-    members: list[int] = []  # the reached elements
     gens: list[int] = []
     unreached = (i for i in order if not reached[i])
     pending = _generator_hint(table, heights) or list(islice(unreached, 1))
@@ -282,16 +253,26 @@ def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[list[int
         gens += pending
         for g in pending:
             reached[g] = True
-        members += pending
-        work = list(members)  # every member still lacks the new generators
+        by_image: dict = {}  # (image, generators met) -> class representatives
+        # every reached element still lacks the new generators
+        work = [x for x in range(size) if reached[x]]
         while work:
             x = work.pop()
-            row = table.products(x, gens[len(right[x]):])
-            right[x] += row
+            first, done[x] = done[x], len(gens)
+            # the zero's empty vector puts every generator in the zero's class
+            v = b"" if x == zi else table.elements[x].vector
+            reps = by_image.get(key := (frozenset(v), first))
+            if reps is None:
+                lacked = gens[first:]
+                _, classes = _restriction_groups(v, [tables[g] for g in lacked], cut)
+                reps = by_image[key] = [lacked[c[0]] for c in classes]
+            row = table.products(x, reps)
+            if first:  # a later batch: drop what the earlier ones gave
+                row = [y for y in row if y not in right[x]]
+            right[x].extend(row)
             for y in row:
                 if not reached[y]:
                     reached[y] = True
-                    members.append(y)
                     work.append(y)
         pending = list(islice(unreached, 1))
     return gens, right

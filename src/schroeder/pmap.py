@@ -10,10 +10,10 @@ is ``len(set(v)) - 1``.  Composition is left-to-right: ``x (a * b) =
 table, so the vector of a*b is ``va.translate(tb)``, one C call: the one
 composition kernel, behind :func:`compose`, ``a * b``, ``is_idempotent``,
 :func:`closure` (through :func:`closure_vectors`) and the product rows of
-``green.SemigroupTable``.  Since a*b depends on b only through b
-restricted to Im a, :func:`closure_vectors` composes each reached map once
-per distinct restriction of the generators to its image, found once per
-image.
+``green.SemigroupTable``.  a*b depends on b only through b restricted to
+Im a, and one helper, ``_restriction_groups``, groups right factors by that
+restriction: :func:`closure_vectors`, ``green.SemigroupTable.class_rows``
+and the right Cayley graph compose each map once per class.
 
 Maps are checked where they enter (``PartialMap(n, pairs)``, ``of``,
 ``empty``, ``from_vector`` and :func:`parse`); a product of valid vectors is
@@ -23,7 +23,8 @@ valid, so the kernel wraps its results unchecked.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping
+from array import array
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_VECTOR_N",
@@ -254,13 +255,9 @@ def closure_vectors(generators: Iterable[PartialMap]) -> set[bytes]:
     """The byte vectors of :func:`closure`, none wrapped in a map: half the
     memory where only the closure's size is needed.
 
-    x*g is ``x.translate(t_g)``, so it depends on g only through g
-    restricted to Im x.  The first reached map of each image composes every
-    generator, and generators giving it equal products have equal
-    restrictions; one table per product is kept for that image, keyed by
-    ``frozenset(v)`` (the image and 0), and every map of the image composes
-    only those.  Each generator has a representative with its restriction,
-    so no product is missed.
+    x*g depends on g only through g restricted to Im x, so each reached map
+    composes one generator per class of :func:`_restriction_groups`, found
+    once per image, keyed by ``frozenset(v)`` (the image and 0).
     """
     gens = list(generators)
     if not gens:
@@ -272,16 +269,38 @@ def closure_vectors(generators: Iterable[PartialMap]) -> set[bytes]:
     work = list(seen)
     while work:
         v = work.pop()
-        key = frozenset(v)
-        reps = by_image.get(key)
+        reps = by_image.get(key := frozenset(v))
         if reps is None:
-            reps = by_image[key] = list({v.translate(t): t for t in tables}.values())
+            reps = by_image[key] = [tables[m[0]] for m in _restriction_groups(v, tables, None)[1]]
         for t in reps:
             c = v.translate(t)
             if c not in seen:
                 seen.add(c)
                 work.append(c)
     return seen
+
+
+def _restriction_groups(
+    v: bytes, tables: Sequence[bytes | None], cut: int | None
+) -> tuple[array, list[array]]:
+    """Group right factors b, given by their translate tables (None for the
+    zero of a Rees quotient), by b restricted to the image of ``v``: the
+    class of each factor, and the positions in ``tables`` of each class's
+    factors, classes in order of their first factor.  The key, the vector
+    ``v.translate(t_b)`` of v*b, determines that restriction, so distinct
+    classes give every map of that image distinct products.  With ``cut``,
+    each key of at most ``cut`` distinct bytes joins the zero's class: its
+    nonzero bytes are b(Im v & Dom b), so that collapse depends on the class."""
+    keys = [None if t is None else v.translate(t) for t in tables]
+    # each distinct key, and the key of its class: None for the zero's
+    rep = {k: None if k is None or cut is not None and len(set(k)) <= cut else k
+           for k in dict.fromkeys(keys)}
+    ids = {k: c for c, k in enumerate(dict.fromkeys(rep.values()))}
+    class_of = array("I", map({k: ids[r] for k, r in rep.items()}.__getitem__, keys))
+    members = [array("I") for _ in ids]
+    for j, c in enumerate(class_of):
+        members[c].append(j)
+    return class_of, members
 
 
 def member_ss_prime(a: PartialMap) -> bool:

@@ -1,8 +1,54 @@
-"""Relation algebra and regularity for the tests of ``schroeder.green``:
-binary relations on a table's element indices, composed pair by pair, to
-check D* = L* o R* o L*, and the regular elements read off the L-classes."""
+"""References for the tests of ``schroeder.green``: the Cayley graphs with
+one successor per generator, binary relations on a table's element indices,
+composed pair by pair, to check D* = L* o R* o L*, and the regular elements
+read off the L-classes."""
 
-from schroeder import EqPartition, SemigroupTable, green
+from itertools import islice
+
+from schroeder import ZERO, EqPartition, SemigroupTable, green
+from schroeder.green import _generator_hint
+
+
+def right_cayley_reference(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
+    """A generating set A of the table and its right Cayley graph over A,
+    right[x] listing x*g for every g in A, in its order.
+
+    Breadth-first search over right multiplications by A, starting from the
+    seed of ``_generator_hint``; whenever the search ends with an element
+    unreached, the first such element by descending height joins A and the
+    search extends from it.  Every x*g is looked up in the table."""
+    size = len(table)
+    heights = [-1 if a is ZERO else a.height() for a in table.elements]
+    order = sorted(range(size), key=lambda i: -heights[i])
+    right: list[list[int]] = [[] for _ in range(size)]
+    reached = [False] * size
+    members: list[int] = []
+    gens: list[int] = []
+    unreached = (i for i in order if not reached[i])
+    pending = _generator_hint(table, heights) or list(islice(unreached, 1))
+    while pending:
+        gens += pending
+        for g in pending:
+            reached[g] = True
+        members += pending
+        work = list(members)  # every member still lacks the new generators
+        while work:
+            x = work.pop()
+            row = table.products(x, gens[len(right[x]):])
+            right[x] += row
+            for y in row:
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+                    work.append(y)
+        pending = list(islice(unreached, 1))
+    return gens, right
+
+
+def left_cayley_reference(table: SemigroupTable, gens: list[int]) -> list[tuple[int, ...]]:
+    """left[x] lists g*x for every g in ``gens``, in their order."""
+    columns = range(len(table))
+    return list(zip(*(table.products(g, columns) for g in gens)))
 
 
 class BinRelation:

@@ -3,9 +3,11 @@ import importlib
 import pytest
 from green_reference import (
     compose_relations,
+    left_cayley_reference,
     partition_as_relation,
     regular_indices,
     relations_equal,
+    right_cayley_reference,
 )
 from pmap_reference import all_partial_maps, compose_reference
 
@@ -106,6 +108,42 @@ def test_green_matches_table_reference_without_seed(elements):
         assert green(t, which) == green_reference(t, which), which
 
 
+CAYLEY_CASES = [
+    pytest.param(lambda n=n: target_table(n, "ss-prime"), id=f"ss-prime-n{n}") for n in range(2, 7)
+] + [
+    pytest.param(lambda n=n, t=t, p=p: target_table(n, t, p), id=f"{t}-n{n}-p{p}")
+    for n in range(2, 7)
+    for p in range(1, n)
+    for t in ("ideal", "quotient")
+] + [
+    # no seed applies to these, so the greedy completion merges batches
+    pytest.param(lambda: build_table(enumerate_family(FamilySpec(Family.LS, 4)), verify=False),
+                 id="ls-n4"),
+    pytest.param(lambda: build_table(all_partial_maps(3), verify=False),
+                 id="all-partial-maps-n3"),
+]
+
+
+@pytest.mark.parametrize("make", CAYLEY_CASES)
+def test_cayley_graphs_match_one_successor_per_generator(make):
+    """The graphs of distinct successors, right rows composed once per
+    restriction class, against the graphs with one successor per
+    generator: the same generators, the same successor set in every row,
+    no repeat in a row, and the same L/R/H/D/J partitions."""
+    t, ref = make(), make()
+    ref._gens, ref._right = right_cayley_reference(ref)
+    ref._left = left_cayley_reference(ref, ref._gens)
+    right, left = t.right_cayley(), t.left_cayley()
+    assert t._gens == ref._gens
+    for x in range(len(t)):
+        assert len(set(right[x])) == len(right[x]), x
+        assert len(set(left[x])) == len(left[x]), x
+        assert set(right[x]) == set(ref._right[x]), x
+        assert set(left[x]) == set(ref._left[x]), x
+    for which in "LRHDJ":
+        assert green(t, which) == green(ref, which), which
+
+
 @pytest.mark.parametrize(
     "make",
     [pytest.param(lambda table, case=c: table(*case), id=_target_id(c))
@@ -147,6 +185,7 @@ def test_green_builds_no_product_table():
     regular_indices(t)
     t.idempotent_indices()
     assert t._rows is None
+    assert t._classes is None  # the Cayley graphs never group every column
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
