@@ -148,8 +148,7 @@ class SemigroupTable:
         return row
 
     def class_rows(self) -> list[tuple[array, list[array], array]]:
-        """The product table, compressed: for each row u, the triple
-        ``(class_of, members, composed)``.
+        """The product table, compressed: for each row u, ``(class_of, members, composed)``.
 
         a*b depends on b only through b restricted to Im a, so the columns
         fall into the classes of ``pmap._restriction_groups``, found once per
@@ -225,8 +224,7 @@ def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
 
 
 def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[array]]:
-    """A generating set A of the table and its right Cayley graph over A,
-    each row the distinct successors of its element.
+    """A generating set A and the right Cayley graph over A, rows of distinct successors.
 
     Breadth-first search over right multiplications by A, starting from A,
     which is seeded by :func:`_generator_hint`.  Whenever the search ends

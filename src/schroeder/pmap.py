@@ -284,22 +284,24 @@ def _restriction_groups(
     v: bytes, tables: Sequence[bytes | None], cut: int | None
 ) -> tuple[array, list[array]]:
     """Group right factors b, given by their translate tables (None for the
-    zero of a Rees quotient), by b restricted to the image of ``v``: the
-    class of each factor, and the positions in ``tables`` of each class's
-    factors, classes in order of their first factor.  The key, the vector
-    ``v.translate(t_b)`` of v*b, determines that restriction, so distinct
-    classes give every map of that image distinct products.  With ``cut``,
-    each key of at most ``cut`` distinct bytes joins the zero's class: its
-    nonzero bytes are b(Im v & Dom b), so that collapse depends on the class."""
-    keys = [None if t is None else v.translate(t) for t in tables]
-    # each distinct key, and the key of its class: None for the zero's
-    rep = {k: None if k is None or cut is not None and len(set(k)) <= cut else k
-           for k in dict.fromkeys(keys)}
-    ids = {k: c for c, k in enumerate(dict.fromkeys(rep.values()))}
-    class_of = array("I", map({k: ids[r] for k, r in rep.items()}.__getitem__, keys))
-    members = [array("I") for _ in ids]
-    for j, c in enumerate(class_of):
+    zero of a Rees quotient), by b restricted to Im v: the class of each
+    factor, and each class's positions in ``tables``, classes in order of
+    their first factor.  The key ``v.translate(t_b)``, the vector of v*b,
+    determines that restriction, so distinct classes give every map of Im v
+    distinct products.  With ``cut``, a key of at most ``cut`` distinct bytes
+    (0 and b(Im v & Dom b), fixed by the class) joins the zero's class."""
+    ids: dict = {}  # key -> class; None keys the zero's class
+    class_of = array("I")
+    members: list[array] = []
+    for j, t in enumerate(tables):
+        key = None if t is None else v.translate(t)
+        if (c := ids.get(key)) is None:
+            zero = key is None or cut is not None and len(set(key)) <= cut
+            c = ids[key] = ids.setdefault(None, len(members)) if zero else len(members)
+            if c == len(members):
+                members.append(array("I"))
         members[c].append(j)
+        class_of.append(c)
     return class_of, members
 
 
