@@ -224,6 +224,8 @@ def cmd_green(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.n < 2:
+        return _fail_usage(f"rank needs n >= 2 (3n-4 holds for n >= 2 only), got n={args.n}")
     default = RANK_GUARD if args.target == "ss-prime" else RANK_QUOTIENT_GUARD
     guard = args.max_n if args.max_n is not None else default
     if args.n > guard:
@@ -235,14 +237,12 @@ def cmd_rank(args) -> int:
             f"(raise --max-n)"
         )
     result, table = rank_layered(args.n, args.target, args.p)
-    if args.target == "ss-prime":
-        formula = 3 * args.n - 4
-    elif args.target == "quotient":
+    if args.target == "quotient":
         formula = formula_rank_quotient(args.n, args.p)
-    elif args.p <= args.n - 2:
+    elif args.target == "ideal" and args.p <= args.n - 2:
         formula = formula_rank_ideal(args.n, args.p)
     else:
-        formula = 3 * args.n - 4  # K(n, n-1) is the whole semigroup
+        formula = 3 * args.n - 4  # SS'(n), and K(n, n-1), the whole semigroup
     status = (
         "UNCERTIFIED" if not result.certified
         else "PASS" if result.rank == formula
@@ -393,13 +393,18 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def max_n(text: str) -> int:
+        if (n := int(text)) < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        return n
+
     def common(p, with_p=True, with_format=True):
         p.add_argument("--n", type=int, required=True)
         if with_p:
             p.add_argument("--p", type=int, default=None)
         if with_format:
             p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--max-n", type=int, default=None,
+        p.add_argument("--max-n", type=max_n, default=None,
                        help="override the size guard for this command")
 
     p_enum = sub.add_parser("enumerate", help="list a family in canonical order")

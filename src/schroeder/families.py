@@ -353,6 +353,8 @@ def height_counts(n: int) -> tuple[int, ...]:
     isotone, order-decreasing choices.  The height grows by one when
     v > last.  The state is (last, height so far).
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     ways = {(0, 0): 1}
     for x in range(2, n + 1):
         step = dict(ways)  # x left out of the domain

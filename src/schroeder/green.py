@@ -19,11 +19,11 @@ from typing import Iterable, Literal, Sequence
 from ._record import Record
 from .families import (
     generating_set_G,
+    height_counts,
     iter_heights,
-    schroeder_small,
     ss_prime_minimal_generators,
 )
-from .pmap import PartialMap, _restriction_groups, ambient_size
+from .pmap import PartialMap, _restriction_groups, _table, ambient_size
 
 __all__ = [
     "Zero",
@@ -76,7 +76,7 @@ class SemigroupTable:
     """An interned, indexed, composition-closed set of elements.
 
     ``_index`` maps each element's byte vector (see ``pmap``), or ZERO, to
-    its index.
+    its index; ``_vectors`` holds the vectors composed, the empty map's for ZERO.
     """
 
     def __init__(
@@ -87,6 +87,7 @@ class SemigroupTable:
         self.zero_index = zero_index
         self.collapse_below = collapse_below
         self._index = _index
+        self._vectors = [bytes(n + 1) if a is ZERO else a.vector for a in elements]
         self._tables: list | None = None  # translate tables, lazy
         self._classes: list | None = None  # class-compressed rows, lazy
         self._rows: list | None = None  # full product table, lazy
@@ -108,9 +109,9 @@ class SemigroupTable:
         return self.products(i, (j,))[0]
 
     def _translate_tables(self) -> list:
-        """Each element's ``bytes.translate`` table, None for the zero."""
+        """Each element's ``bytes.translate`` table, the empty map's for the zero."""
         if self._tables is None:
-            self._tables = [None if a is ZERO else a.translate_table() for a in self.elements]
+            self._tables = [_table(v) for v in self._vectors]
         return self._tables
 
     def products(self, i: int, js) -> list[int]:
@@ -118,22 +119,16 @@ class SemigroupTable:
         table, or part of one.  Raises NotClosedError when a product is
         missing from the table, i.e. the set is not closed.
 
-        Composes byte vectors, one ``bytes.translate`` per product; under a
-        Rees collapse a product of height below ``collapse_below``, that is
-        with at most that many distinct bytes (0 included), is the zero.
+        Composes byte vectors, the zero as the empty map, one ``bytes.translate``
+        per product; under a Rees collapse a product of height below
+        ``collapse_below`` (at most that many distinct bytes, 0 included) is the zero.
         """
-        zi = self.zero_index
-        if i == zi:
-            return [zi] * len(js)
         tables = self._translate_tables()
-        a = self.elements[i].vector
-        cut = self.collapse_below
+        a = self._vectors[i]
+        cut, zi = self.collapse_below, self.zero_index
         index = self._index
         row = []
         for j in js:
-            if j == zi:
-                row.append(zi)
-                continue
             c = a.translate(tables[j])
             if cut is not None and len(set(c)) <= cut:
                 row.append(zi)
@@ -157,15 +152,13 @@ class SemigroupTable:
         class c, composed for its first member by :meth:`products`, which
         checks closure and applies the Rees collapse.  Every column whose
         product with u collapses lies in the zero's class, so a row composes
-        the zero once; the zero row is one class whose product is the zero.
+        the zero once; composed as the empty map, the zero's row is one class.
         """
         if self._classes is None:
             tables = self._translate_tables()
             by_image: dict = {}
             rows = []
-            for i, a in enumerate(self.elements):
-                # the zero's empty vector puts every column in the zero's class
-                v = b"" if i == self.zero_index else a.vector
+            for i, v in enumerate(self._vectors):
                 if (key := frozenset(v)) not in by_image:
                     class_of, members = _restriction_groups(v, tables, self.collapse_below)
                     by_image[key] = class_of, members, [m[0] for m in members]
@@ -210,13 +203,14 @@ def _generator_hint(table: SemigroupTable, heights: Sequence[int]) -> list[int]:
     3n-4 minimum generators of SS'(n) when the top height is n-1, else
     G(n,p) at the top height p; only the seed elements that are in the table.
     The seed only saves work; correctness never rests on it.  It walks the
-    maps of SS'(n) at its heights (n-1 and n-2, or p) and squares each; a
+    maps of SS'(n) at its heights (n-2 and n-1, or p) and squares each; a
     middle slice is a large share of SS'(n) (184,770 of the 518,859 maps at
     n=10, height 4), while the graphs of a table of |S| elements never take
-    more than |S|^2 products, so a table with |S|^2 below s_n goes without.
+    more than |S|^2 products, so a table with |S|^2 below that walk goes without.
     """
     n, top = table.n, max(heights)
-    if not 1 <= top <= n - 1 or len(table) ** 2 < schroeder_small(n):
+    least = top - 1 if top == n - 1 else top  # the seed's least height
+    if not 1 <= top <= n - 1 or len(table) ** 2 < sum(height_counts(n)[least:top + 1]):
         return []
     hint = ss_prime_minimal_generators(n) if top == n - 1 else generating_set_G(n, top)
     index = table._index
@@ -232,13 +226,13 @@ def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[array]]:
     joins A and the search extends from it.  x*g depends on g only through
     g restricted to Im x, so x meets one generator per class of
     ``pmap._restriction_groups``, found once per image and batch of A, and
-    distinct classes give distinct products.  Every member of a class has
-    its representative's product, and each is looked up in the table, which
-    raises ValueError when it is missing.  So when this returns, S*A is
-    within S and S = <A>, hence S*S is within S: the set is closed.
+    distinct classes give distinct products; the zero, composed as the empty
+    map, meets one.  Each class member has its representative's product,
+    looked up in the table, which raises ValueError when it is missing.  So
+    when this returns, S*A is within S and S = <A>, hence S*S is within S.
     """
-    size, zi, cut = len(table), table.zero_index, table.collapse_below
-    heights = [-1 if a is ZERO else a.height() for a in table.elements]
+    size, cut, vectors = len(table), table.collapse_below, table._vectors
+    heights = [len(set(v)) - 1 for v in vectors]
     order = sorted(range(size), key=lambda i: -heights[i])
     tables = table._translate_tables()
     right = [array("I") for _ in range(size)]
@@ -257,12 +251,10 @@ def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[array]]:
         while work:
             x = work.pop()
             first, done[x] = done[x], len(gens)
-            # the zero's empty vector puts every generator in the zero's class
-            v = b"" if x == zi else table.elements[x].vector
-            reps = by_image.get(key := (frozenset(v), first))
+            reps = by_image.get(key := (frozenset(vectors[x]), first))
             if reps is None:
                 lacked = gens[first:]
-                _, classes = _restriction_groups(v, [tables[g] for g in lacked], cut)
+                _, classes = _restriction_groups(vectors[x], [tables[g] for g in lacked], cut)
                 reps = by_image[key] = [lacked[c[0]] for c in classes]
             row = table.products(x, reps)
             if first:  # a later batch: drop what the earlier ones gave
@@ -296,12 +288,14 @@ def build_table(
     """Intern an element set, checking closure (optionally under collapse).
 
     The elements are indexed in order of ``encode()``.  With
-    ``collapse_below = p`` a zero is adjoined and every product of height
-    < p is identified with it, realizing a Rees quotient.  Closure is
+    ``collapse_below = p >= 1`` a zero is adjoined and every product of
+    height < p is identified with it, realizing a Rees quotient.  Closure is
     checked by building the right Cayley graph, which raises on a missing
     product.  With ``verify=False`` that check happens on first use
     instead: a product table or Cayley graph raises then.
     """
+    if collapse_below is not None and collapse_below < 1:
+        raise ValueError(f"a Rees collapse needs a height >= 1, got {collapse_below}")
     table = _intern(sorted(set(elements), key=lambda a: a.encode()), collapse_below)
     if verify:
         table.right_cayley()  # raises on the first missing product
@@ -322,6 +316,8 @@ def target_table(n: int, target: str, p: int | None = None, lo: int | None = Non
     """
     if target not in ("ss-prime", "ideal", "quotient"):
         raise ValueError(f"unknown target {target!r}")
+    if n < 1:
+        raise ValueError(f"a target table needs n >= 1, got n={n}")
     if target == "ss-prime":
         top = n - 1
     elif p is None:

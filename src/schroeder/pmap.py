@@ -13,7 +13,8 @@ composition kernel, behind :func:`compose`, ``a * b``, ``is_idempotent``,
 ``green.SemigroupTable``.  a*b depends on b only through b restricted to
 Im a, and one helper, ``_restriction_groups``, groups right factors by that
 restriction: :func:`closure_vectors`, ``green.SemigroupTable.class_rows``
-and the right Cayley graph compose each map once per class.
+and the right Cayley graph compose each map once per class.  They compose a
+Rees zero as the empty map, whose products all fall below the height cut.
 
 Maps are checked where they enter (``PartialMap(n, pairs)``, ``of``,
 ``empty``, ``from_vector`` and :func:`parse`); a product of valid vectors is
@@ -281,10 +282,10 @@ def closure_vectors(generators: Iterable[PartialMap]) -> set[bytes]:
 
 
 def _restriction_groups(
-    v: bytes, tables: Sequence[bytes | None], cut: int | None
+    v: bytes, tables: Sequence[bytes], cut: int | None
 ) -> tuple[array, list[array]]:
-    """Group right factors b, given by their translate tables (None for the
-    zero of a Rees quotient), by b restricted to Im v: the class of each
+    """Group right factors b, given by their translate tables (the empty
+    map's for a Rees zero), by b restricted to Im v: the class of each
     factor, and each class's positions in ``tables``, classes in order of
     their first factor.  The key ``v.translate(t_b)``, the vector of v*b,
     determines that restriction, so distinct classes give every map of Im v
@@ -293,10 +294,9 @@ def _restriction_groups(
     ids: dict = {}  # key -> class; None keys the zero's class
     class_of = array("I")
     members: list[array] = []
-    for j, t in enumerate(tables):
-        key = None if t is None else v.translate(t)
+    for j, key in enumerate(map(v.translate, tables)):
         if (c := ids.get(key)) is None:
-            zero = key is None or cut is not None and len(set(key)) <= cut
+            zero = cut is not None and len(set(key)) <= cut
             c = ids[key] = ids.setdefault(None, len(members)) if zero else len(members)
             if c == len(members):
                 members.append(array("I"))

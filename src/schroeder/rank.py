@@ -3,13 +3,13 @@ semigroup, its two-sided ideals K(n,p), and their Rees quotients.
 
 The rank oracle is independent of the closed-form results it checks: it
 collects the *essential* elements (those admitting no factorization avoiding
-themselves, hence forced into every generating set), verifies that they
-generate, and only then certifies the minimum.  When they do not generate,
-it bounds the rank below by the essentials plus a greedy packing of pairwise
-disjoint factor constraints, and certifies one generator per packed
-constraint when that set generates.  ``rank_layered`` runs the oracle on
-the top-layer Rees quotient of a target first, and keeps its rank when the
-certified set generates the whole target.
+themselves, hence forced into every generating set), bounds the rank below
+by them plus a greedy packing of pairwise disjoint factor constraints that
+avoid them, and certifies the minimum when the essentials with one generator
+per packed constraint generate; when the essentials generate, no constraint
+avoids them.  ``rank_layered`` runs the oracle on the top-layer Rees
+quotient of a target first, and keeps its rank when the certified set
+generates the whole target.
 """
 
 from __future__ import annotations
@@ -187,40 +187,27 @@ def _disjoint_packing(constraints: list[frozenset]) -> list[frozenset]:
 def rank_oracle(table: SemigroupTable) -> RankResult:
     """Minimum size of a generating set, certified when possible.
 
-    Strategy: essential elements (no factorization avoiding themselves) are
-    forced into every generating set; when they generate, the rank is their
-    count.  Otherwise the first/last factor constraints that avoid the
-    essentials each need a generator outside them, so the essentials plus a
+    Essential elements (no factorization avoiding themselves) are forced
+    into every generating set, and each first/last factor constraint that
+    avoids them needs a generator outside them, so the essentials plus a
     greedy packing of pairwise disjoint constraints is a sound lower bound.
     The candidate is the essentials plus the least index of each packed
     constraint, so its size is the bound; it is certified when it generates
-    the table.  Otherwise the result is honestly uncertified and ``notes``
-    carries the bound.
+    the table, else ``notes`` carries the bound.  When the essentials
+    generate, each element outside them has a shortest expression over them,
+    with essential first and last factors, so no constraint avoids them.
     """
-    size = len(table)
     essential = essential_elements(table)
-    if essential and len(closure_indices(table, essential)) == size:
-        return RankResult(
-            rank=len(essential),
-            essential=frozenset(essential),
-            certified=True,
-            generating_set=tuple(sorted(essential)),
-        )
     packed = _disjoint_packing(_factor_constraints(table, essential))
     candidate = essential | {min(c) for c in packed}
-    if len(closure_indices(table, candidate)) == size:
-        return RankResult(
-            rank=len(candidate),
-            essential=frozenset(essential),
-            certified=True,
-            generating_set=tuple(sorted(candidate)),
-        )
+    certified = len(closure_indices(table, candidate)) == len(table)
     return RankResult(
-        rank=None,
+        rank=len(candidate) if certified else None,
         essential=frozenset(essential),
-        certified=False,
-        generating_set=(),
-        notes=f"lower bound {len(candidate)} (disjoint constraints); no generating set of that size found",
+        certified=certified,
+        generating_set=tuple(sorted(candidate)) if certified else (),
+        notes="" if certified else
+        f"lower bound {len(candidate)} (disjoint constraints); no generating set of that size found",
     )
 
 

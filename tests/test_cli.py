@@ -398,6 +398,44 @@ def test_rank_quotient(capsys):
     assert doc["rank"] == 21 and doc["status"] == "PASS"
 
 
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_rank_below_n2_is_usage_error(capsys, n):
+    """3n-4 is the rank of SS'(n) for n >= 2 only: SS'(1) is the empty map
+    alone, of rank 1, so n=1 is a usage error, not a failed verification."""
+    code, out, err = run(capsys, "rank", "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert f"n={n}" in err and "n >= 2" in err
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_green_without_points_is_usage_error(capsys, n):
+    code, out, err = run(capsys, "green", "--relation", "L", "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert f"n={n}" in err
+
+
+def test_green_n1_is_the_trivial_semigroup(capsys):
+    code, out, _ = run(capsys, "green", "--relation", "L", "--n", "1")
+    assert code == 0
+    assert out == "classes: 1 (all singletons)\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "--n", "4"],
+    ["green", "--relation", "L", "--n", "3"],
+    ["enumerate", "--family", "ss-prime", "--n", "3"],
+    ["invariants", "--n", "3"],
+])
+@pytest.mark.parametrize("max_n", ["-1", "0"])
+def test_max_n_below_1_is_usage_error(capsys, command, max_n):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--max-n", max_n])
+    assert exc.value.code == 2
+    assert f"--max-n: must be at least 1, got {max_n}" in capsys.readouterr().err
+
+
 def test_rank_guard(capsys):
     code, _, err = run(capsys, "rank", "--n", "12")
     assert code == 3

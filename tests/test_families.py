@@ -276,6 +276,13 @@ def test_height_counts_count_the_ideals(n):
         assert sum(counts[: top + 1]) == len(ideal)
 
 
+def test_height_counts_need_a_point():
+    assert height_counts(1) == (1,)  # the empty map alone
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            height_counts(n)
+
+
 def test_ideal_is_two_sided():
     n, p = 4, 2
     ssp = enumerate_family(FamilySpec(Family.SS_PRIME, n))

@@ -213,6 +213,26 @@ def test_small_table_skips_the_seed(monkeypatch):
     assert green(t, "J").num_classes() == 1
 
 
+def test_seed_rule_reads_no_closed_form():
+    """The seed rule counts the slices it walks with ``height_counts``; the
+    Cayley graphs behind the rank and Green's checks use no closed form."""
+    assert "schroeder_small" not in vars(importlib.import_module("schroeder.green"))
+
+
+def test_build_table_rejects_a_collapse_below_height_1():
+    """Below height 1 no product collapses, so the zero would be composed
+    as an ordinary empty map."""
+    a = PartialMap.of(3, {2: 2, 3: 3})
+    with pytest.raises(ValueError, match="height >= 1"):
+        build_table([a, PartialMap.empty(3)], collapse_below=0)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_target_table_needs_a_point(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        target_table(n, "ss-prime")
+
+
 @pytest.mark.parametrize("which", "LRJ")
 def test_green_rejects_non_closed(which):
     # {2->1, 3->2} squared is {3->1}, missing from this set

@@ -198,6 +198,52 @@ def test_collapsed_class_rows_keep_one_zero_class(table, make):
     assert [list(row) for row in t.full_table()] == [t.products(i, columns) for i in columns]
 
 
+QUOTIENTS = [
+    pytest.param(n, p, id=f"quotient-n{n}-p{p}") for n in range(2, 7) for p in range(1, n)
+]
+
+
+@pytest.mark.parametrize("n, p", QUOTIENTS)
+def test_zero_composes_as_the_empty_map(table, n, p):
+    """The zero is composed as the empty map: its class row is one class,
+    of every column, whose product is the zero, and every element times the
+    zero, or the zero times it, is the zero."""
+    t = table(n, p, quotient=True)
+    zi, columns = t.zero_index, range(len(t))
+    class_of, members, composed = t.class_rows()[zi]
+    assert list(class_of) == [0] * len(t)
+    assert [list(m) for m in members] == [list(columns)] and list(composed) == [zi]
+    assert all(t.products(i, [zi]) == [zi] for i in columns)
+    assert t.products(zi, columns) == [zi] * len(t)
+
+
+def _target_and_layer_tables(n):
+    """Every target table of SS'(n), and every layer of each, as in
+    ``rank_layered``: (label, table)."""
+    for target, ps in [("ss-prime", [None]), ("ideal", range(1, n)), ("quotient", range(1, n))]:
+        for p in ps:
+            top = n - 1 if p is None else p
+            for lo in range(p if target == "quotient" else 0, top + 1):
+                yield f"{target} p={p} lo={lo}", target_table(n, target, p, lo)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_generating_essentials_leave_no_constraint(n):
+    """When the essentials E generate, every element outside E has a
+    shortest expression over E whose first and last factors are in E, so
+    no factor constraint avoids E and the oracle's candidate is E itself,
+    on every target and layer table of SS'(n)."""
+    generating = 0
+    for label, t in _target_and_layer_tables(n):
+        essential = essential_elements(t)
+        if len(closure_indices(t, essential)) == len(t):
+            generating += 1
+            assert _factor_constraints(t, essential) == [], label
+            result = rank_oracle(t)
+            assert result.certified and result.generating_set == tuple(sorted(essential)), label
+    assert generating
+
+
 @pytest.mark.parametrize("make", CLASS_SCAN_TARGETS + LAYER_TABLES)
 def test_closure_indices_matches_reference(table, make):
     """Expanding each element once per distinct class of the generators in
