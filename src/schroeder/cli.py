@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 import time
@@ -48,9 +47,9 @@ from .rank import (
 # characterized starred relations group what they enumerate: on a 2-vCPU VM
 # L* at n=11 takes 58 s and 830 MB
 ENUM_GUARD = 10
-# invariants reads the scan's byte vectors block by block and builds no map:
-# on a 2-vCPU VM --n 11 takes 4.0-5.2 s and 23 MB, --n 12 18-19 s and 38 MB
-INVARIANTS_GUARD = 12
+# invariants counts from prefix and suffix keys and builds no map: on a
+# 2-vCPU VM --n 19 takes 22-28 s and 573 MB, and --n 20 ran past 100 s
+INVARIANTS_GUARD = 19
 # enumerate writes each block of codes as the scan makes it and holds no
 # family: on a 2-vCPU VM --format json takes 0.7 s at n=11, 2.9 s and 27 MB
 # at n=12, and 12-14 s and 32 MB at n=13
@@ -100,8 +99,9 @@ def cmd_enumerate(args) -> int:
     guard = args.max_n if args.max_n is not None else ENUMERATE_GUARD
     if args.n > guard:
         return _fail_guard(f"enumeration too large at n={args.n}; raise --max-n")
-    # each block is written as the scan makes it; the family is never held
-    blocks = family_blocks(FamilySpec(Family(args.family), args.n, args.p))
+    # each block is written as the scan makes it; the family is never held,
+    # and only csv reads the vectors
+    blocks = family_blocks(FamilySpec(Family(args.family), args.n, args.p), args.format == "csv")
     out = sys.stdout
     if args.format == "text":
         for codes, _ in blocks:
@@ -131,9 +131,10 @@ def cmd_enumerate(args) -> int:
 
 
 def _invariant_rows(n: int):
-    """Count rows read from one census of SS'(n); the idempotents are
-    counted by ``count_idempotents``.  Each row's ``runtime_ms`` is the time
-    since the previous row, so the first row carries the census."""
+    """Count rows read from the key census of SS'(n): the idempotents from
+    ``count_idempotents``, which runs it, and the other rows from
+    ``census``, which reads the same keys.  Each row's ``runtime_ms`` is
+    the time since the previous row, so the first row carries the census."""
     rows = []
     t0 = time.perf_counter()
 
@@ -149,10 +150,10 @@ def _invariant_rows(n: int):
         })
         t0 = t1
 
-    blocks = family_blocks(FamilySpec(Family.SS_PRIME, n))
-    counts = census(itertools.chain.from_iterable(vecs for _, vecs in blocks))
+    idempotents = count_idempotents(n)
+    counts = census(n)
     add("|SS'|", schroeder_small(n), counts.order)
-    add("idempotents", formula_idempotents(n), count_idempotents(n))
+    add("idempotents", formula_idempotents(n), idempotents)
     for p in range(n):
         add(f"Rstar-classes p={p}", formula_rstar_classes(n, p), counts.kernels[p])
     for p in range(1, n):
@@ -289,7 +290,7 @@ def _verify_rows(n_max: int, long: bool):
     for n in range(2, n_max + 1):
         table = target_table(n, "ss-prime")
         ss = table.elements
-        counts = census(a.vector for a in ss)
+        counts = census(n)
         add(f"order n={n}", len(ss) == schroeder_small(n))
         add(f"idempotents n={n}",
             lambda n=n: count_idempotents(n) == formula_idempotents(n))

@@ -1,8 +1,13 @@
-"""The reference the block scan of ``schroeder.families`` is checked
-against: the depth-first stack walk that builds every code and vector from
-its parent's, one map at a time."""
+"""The references ``schroeder.families`` is checked against: the
+depth-first stack walk that builds every code and vector from its parent's,
+one map at a time, for the block scan, and the census that reads every byte
+vector of SS'(n), for the key census."""
 
-from typing import Iterator
+import itertools
+from typing import Iterable, Iterator
+
+from schroeder.families import Census
+from schroeder.pmap import _RANKS
 
 
 def scan_reference(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
@@ -41,3 +46,30 @@ def scan_reference(n: int, pool: tuple[int, ...], lo: int, hi: int) -> Iterator[
             g = h + up
             if g <= hi and g + r >= lo:
                 push((code + tok, vec[:d] + tail, grandchildren, g))
+
+
+def census_reference(vectors: Iterable[bytes]) -> Census:
+    """All the counts of :class:`Census` in one pass over the byte vectors of
+    SS'(n), listed or streamed; no map is built.  Each kernel is counted by
+    its kernel vector, ranked as :func:`pmap.kernel_vector` ranks it through
+    the sorted image.  That rank table and the height are made once per
+    distinct image, the key the image count needs anyway."""
+    vectors = iter(vectors)
+    first = next(vectors, None)
+    if first is None:
+        raise ValueError("census needs at least one map")
+    kernels: list[set] = [set() for _ in range(len(first) - 1)]
+    # per distinct image: its rank table and the kernels of its height
+    ranks: dict[frozenset, tuple[bytes, set]] = {}
+    order = 0
+    for order, v in enumerate(itertools.chain((first,), vectors), 1):
+        image = frozenset(v)
+        rank = ranks.get(image)
+        if rank is None:
+            values = bytes(sorted(image))  # led by v[0] = 0, which keeps rank 0
+            rank = ranks[image] = (bytes.maketrans(values, _RANKS[:len(values)]), kernels[len(values) - 1])
+        rank[1].add(v.translate(rank[0]))
+    images = [0] * len(kernels)
+    for image in ranks:
+        images[len(image) - 1] += 1
+    return Census(order, tuple(map(len, kernels)), tuple(images))

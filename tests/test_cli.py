@@ -114,13 +114,14 @@ def test_enumerate_csv_builds_no_map(capsys, monkeypatch):
 
 
 def test_enumerate_holds_no_family(capsys, monkeypatch):
-    # enumerate writes the blocks of family_blocks as they come
+    # enumerate writes the blocks of family_blocks as they come, and asks
+    # for vectors only in csv, the one format that reads them
     walked = []
     real_blocks = schroeder.families.family_blocks
 
-    def blocks(spec):
-        walked.append(spec.kind)
-        return real_blocks(spec)
+    def blocks(spec, vectors):
+        walked.append((spec.kind, vectors))
+        return real_blocks(spec, vectors)
 
     def refuse(spec):
         raise AssertionError("enumerate listed the family")
@@ -131,7 +132,7 @@ def test_enumerate_holds_no_family(capsys, monkeypatch):
         code, out, _ = run(capsys, "enumerate", "--family", "ss-prime", "--n", "7",
                            "--format", fmt)
         assert code == 0 and out
-    assert walked == [Family.SS_PRIME] * 3
+    assert walked == [(Family.SS_PRIME, False), (Family.SS_PRIME, False), (Family.SS_PRIME, True)]
 
 
 ENUMERATE_GOLDEN = (Path(__file__).parent / "golden" / "enumerate_sha256.jsonl").read_text().splitlines()
@@ -159,6 +160,14 @@ def test_enumerate_guard(capsys):
     assert "--max-n" in err
 
 
+@pytest.mark.parametrize("family", ["ss-prime", "ss", "ls"])
+def test_enumerate_height_on_a_family_without_one_is_usage_error(capsys, family):
+    code, out, err = run(capsys, "enumerate", "--family", family, "--n", "4", "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert "takes no height" in err
+
+
 def test_enumerate_bad_family_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "enumerate", "--family", "nope", "--n", "3")
@@ -177,8 +186,8 @@ def test_invariants_pass(capsys):
 
 
 def test_invariants_enumerates_once(capsys, monkeypatch):
-    # the census streams SS'(n) once through family_blocks, holding no list;
-    # count_idempotents counts E(SS'(n)) as the scan makes it, listing nothing
+    # the census and count_idempotents read prefix and suffix keys: neither
+    # walks SS'(n) through family_blocks nor lists a family
     walked, listed = [], []
     real_blocks = schroeder.families.family_blocks
     real_enumerate = schroeder.families.enumerate_family
@@ -195,7 +204,7 @@ def test_invariants_enumerates_once(capsys, monkeypatch):
     monkeypatch.setattr(schroeder.families, "enumerate_family", listing)
     code, _, _ = run(capsys, "invariants", "--n", "5")
     assert code == 0
-    assert walked == [Family.SS_PRIME]
+    assert walked == []
     assert listed == []
 
 
@@ -569,12 +578,12 @@ def test_verify_all_checks_abundance_of_ideals_and_quotients(capsys):
 
 @pytest.mark.parametrize("command, n", [
     (("enumerate", "--family", "ss-prime"), 14),
-    (("invariants",), 13),
+    (("invariants",), 20),
 ])
 def test_enumeration_guard_stops_past_the_measured_frontier(capsys, command, n):
     # enumerate writes the scan's blocks of codes and takes 12-14 s at
-    # n = 13; invariants reads the scan's vectors and takes 18-19 s at
-    # n = 12; the n below each stays allowed
+    # n = 13; invariants counts from prefix and suffix keys and takes
+    # 22-28 s at n = 19; the n below each stays allowed
     code, out, err = run(capsys, *command, "--n", str(n))
     assert code == 3
     assert out == ""

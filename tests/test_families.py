@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from families_reference import scan_reference
+from families_reference import census_reference, scan_reference
 from pmap_reference import all_partial_maps
 
 from schroeder import (
@@ -20,8 +20,8 @@ from schroeder import (
     verify_identity_corollary,
 )
 import schroeder.families
-from schroeder.families import census, height_counts, iter_family, ss_prime_minimal_generators
-from schroeder.pmap import eps_1k, requisite_from_image
+from schroeder.families import census, height_counts, iter_family, iter_heights, ss_prime_minimal_generators
+from schroeder.pmap import eps_1k, kernel_vector, requisite_from_image
 
 
 def test_schroeder_small_values():
@@ -157,10 +157,15 @@ def pools(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_blocks_match_the_reference_walk_on_every_band(n):
+    """Without vectors the scan makes the same codes and no vector."""
     for pool in pools(n):
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 assert_blocks_match_reference(n, pool, lo, hi)
+                blocks = list(schroeder.families._blocks(n, pool, lo, hi, vectors=False))
+                assert all(vecs is None for _, vecs in blocks)
+                codes = [code for codes, _ in blocks for code in codes]
+                assert codes == [code for code, _ in scan_reference(n, pool, lo, hi)], (n, pool, lo, hi)
 
 
 def edge_bands(n):
@@ -318,6 +323,10 @@ def test_requisite_family_size():
 def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec(Family.SS_PRIME, 1)
+    for kind in (Family.SS_PRIME, Family.SS, Family.LS):  # they take no height
+        with pytest.raises(ValueError, match="takes no height"):
+            FamilySpec(kind, 4, 2)
+    assert FamilySpec(Family.IDEMPOTENTS, 4, 2).p == 2  # optional there
     with pytest.raises(ValueError):
         FamilySpec(Family.IDEAL_K, 4)  # needs p
     with pytest.raises(ValueError):
@@ -355,21 +364,81 @@ def test_p_zero_slice_is_empty_map_alone():
 
 def test_census_matches_count_references():
     for n in (2, 3, 4, 5, 6):
-        counts = census(a.vector for a in enumerate_family(FamilySpec(Family.SS_PRIME, n)))
+        counts = census(n)
         assert counts.order == schroeder_small(n)
         assert counts.kernels == tuple(count_rstar_classes(n, p) for p in range(n))
         assert counts.images[1:] == tuple(count_lstar_classes(n, p) for p in range(1, n))
 
 
 def test_census_takes_a_stream():
-    """The census reads any iterable once, so a scan can feed it without
-    the family being held; an empty one has no n to count over."""
+    """The per-map reference census reads any iterable once, so a scan can
+    feed it without the family being held; an empty one has no n to count
+    over."""
     for n in (2, 5):
         spec = FamilySpec(Family.SS_PRIME, n)
-        streamed = census(v for _, v in iter_family(spec))
-        assert streamed == census([a.vector for a in enumerate_family(spec)])
+        streamed = census_reference(v for _, v in iter_family(spec))
+        assert streamed == census_reference([a.vector for a in enumerate_family(spec)])
     with pytest.raises(ValueError):
-        census(iter(()))
+        census_reference(iter(()))
+
+
+def split_points(n):
+    """The split points the key census is checked at: the ends 2 and n+1,
+    the middle point of the scan, and n from n = 2 on."""
+    return sorted({2, n - n // 2 + 1, max(n, 2), n + 1})
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_split_facts_hold_for_every_map(n):
+    """The four facts the key census rests on, for every map of SS'(n) and
+    every split point m in 2..n+1, against the map's own height, image,
+    kernel vector and square: P is the map on 2..m-1, S on m..n, and
+    v = max Im P."""
+    pad = bytes(255 - n)
+    for m in range(2, n + 2):
+        pairs, kernels = {}, {}
+        for _, a in iter_heights(n, 0, n - 1):
+            prefix, suffix = a[:m] + bytes(n + 1 - m), bytes(m) + a[m:]
+            image_p, image_s = set(prefix) - {0}, set(suffix) - {0}
+            v = max(image_p, default=0)
+            assert min(image_s, default=v) >= v
+            assert len(set(a)) - 1 == len(image_p) + len(image_s - {v})
+            assert set(a) - {0} == image_p | image_s
+            rank = {w: r for r, w in enumerate(sorted({v} | image_s), 1)}
+            relative = bytes(rank[w] if w else 0 for w in a[m:])
+            shifted = bytes(r + len(image_p) - 1 if r else 0 for r in relative)
+            assert kernel_vector(a) == kernel_vector(prefix)[:m] + shifted
+            pair = (kernel_vector(prefix), relative)
+            assert pairs.setdefault(pair, kernel_vector(a)) == kernel_vector(a)
+            assert kernels.setdefault(kernel_vector(a), pair) == pair
+            idempotent = a.translate(a + pad) == a
+            assert idempotent == (prefix.translate(prefix + pad) == prefix
+                                  and all(w == v for w in image_s if w < m)
+                                  and all(suffix[w] == w for w in image_s if w >= m)), (a, m)
+
+
+@pytest.mark.parametrize("n", [
+    *range(1, 10), pytest.param(10, marks=pytest.mark.long), pytest.param(11, marks=pytest.mark.long),
+])
+def test_key_census_matches_the_per_map_reference(n):
+    """The census and the idempotents from prefix and suffix keys equal the
+    per-map census and the squared vectors of the scan, at four split
+    points and at the one ``census`` and ``count_idempotents`` choose."""
+    want = census_reference(v for _, v in iter_heights(n, 0, n - 1))
+    pad = bytes(255 - n)
+    idempotents = sum(v.translate(v + pad) == v for _, v in iter_heights(n, 0, n - 1))
+    for m in split_points(n):
+        assert schroeder.families._key_census(n, m) == (want.order, want.kernels, want.images, idempotents), m
+    assert census(n) == want
+    assert count_idempotents(n) == idempotents
+
+
+def test_key_census_needs_a_point():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            census(n)
+        with pytest.raises(ValueError, match=f"n={n}"):
+            count_idempotents(n)
 
 
 def minimal_generators_reference(n):
