@@ -21,17 +21,14 @@ one (code, vector) pair at a time; ``enumerate_family`` lists the maps.
 ``census`` and ``count_idempotents`` make no vector of SS'(n): they split
 every map at a point m into a prefix, a member of SS'(m-1), and a suffix on
 m..n, scan both sides once, and count each map by combining its prefix's
-keys with its suffix's (``_key_census``).
+keys with its suffix's (``_census``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from collections import Counter
 from enum import Enum
-from operator import add, eq, itemgetter
 from typing import Iterable, Iterator
 
 from ._record import Record
@@ -321,7 +318,9 @@ def count_idempotents(n: int) -> int:
     :func:`census`: a map is idempotent iff its prefix squares to itself
     and each value of its suffix is v below the split point and a fixed
     point of the suffix from it up."""
-    return _key_census(n, _split(n))[3]
+    from ._census import key_census, split_point
+
+    return key_census(n, split_point(n))[3]
 
 
 def formula_idempotents(n: int) -> int:
@@ -400,126 +399,15 @@ class Census(Record):
         Record.__init__(self, order, kernels, images)
 
 
-class _PerImage(dict):
-    """``info(values)`` per distinct image of a byte vector, values being
-    the image with 0, sorted; made on the first lookup of the image."""
-
-    def __init__(self, info) -> None:
-        super().__init__()
-        self.info = info
-
-    def __missing__(self, image: frozenset) -> tuple:
-        self[image] = made = self.info(sorted(image))
-        return made
-
-    def of(self, vecs: list[bytes]) -> list[tuple]:
-        """The info of each vector."""
-        return list(map(self.__getitem__, map(frozenset, vecs)))
-
-
-@functools.lru_cache(maxsize=1)
-def _key_census(n: int, m: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
-    """The order of SS'(n), its numbers of distinct kernels and of distinct
-    images per height, and its idempotents, each map counted through its
-    split at the point m, 2 <= m <= n+1, into a prefix P on the points
-    2..m-1 and a suffix S on m..n, whose values are at least v = max Im P
-    (0 for an empty prefix).  By isotony:
-
-    - the height is |Im P| plus the number of values of S other than v;
-    - the image is Im P | Im S;
-    - the kernel vector is P's, then the relative kernel of S (its values
-      ranked in {v} | Im S) shifted by |Im P|, so the pair of P's kernel
-      vector and S's relative kernel determines it and is determined by it;
-    - the map is idempotent iff P is, each value of S below m is v, and
-      each value of S from m up is a fixed point of S (P fixes no point
-      above v).
-
-    The prefixes are the members of SS'(m-1).  The suffixes are scanned
-    once, as the maps on the points m..n, and each is filed under its least
-    value u: it is a suffix under every v <= u, and v lies in Im S exactly
-    when v = u.  So under v the relative kernel of S is its kernel vector
-    with the flag v = u, and S adds max(kernel vector) - (v = u) to the
-    height.  Each prefix then combines keys only.  The last call is kept:
-    ``invariants`` asks for the census and the idempotents of one n."""
-    fixed, pad, first, second = _RANKS[:m], bytes(255 - n), itemgetter(0), itemgetter(1)
-    # the suffixes by least value u (n+1 for the empty one): how many, how
-    # many are idempotent under v = u (under every v if no value lies below
-    # m), their kernel vectors and their image masks
-    count, idem, kernels, masks = Counter(), Counter(), set(), {}
-
-    def suffix(values):
-        u = values[1] if len(values) > 1 else n + 1
-        masks.setdefault(u, set()).add(sum(1 << w for w in values))
-        return bytes.maketrans(bytes(values), _RANKS[:len(values)]), u, sum(0 < w < m for w in values) < 2
-
-    suffix_info = _PerImage(suffix)
-    for _, vecs in _blocks(n, tuple(range(m, n + 1)), 0, n):
-        infos = suffix_info.of(vecs)
-        us = list(map(second, infos))
-        count.update(us)
-        kernels.update(zip(map(bytes.translate, vecs, map(first, infos)), us))
-        idem.update([u for s, (_, u, low) in zip(vecs, infos) if low and s.translate(fixed + s[m:] + pad) == s])
-    # the prefixes by v: how many, how many are idempotent (one squaring
-    # each), each kernel vector with its v, and each image mask with its v
-    pcount, pidem, pkernels, pmasks = Counter(), Counter(), set(), {}
-
-    def prefix(values):
-        pmasks[sum(1 << w for w in values)] = values[-1]
-        return bytes.maketrans(bytes(values), _RANKS[:len(values)]), values[-1]
-
-    ppad = itertools.repeat(bytes(256 - m))
-    prefix_info = _PerImage(prefix)
-    for _, vecs in _height_blocks(m - 1, 0, m - 2):
-        infos = prefix_info.of(vecs)
-        vs = list(map(second, infos))
-        pcount.update(vs)
-        pkernels.update(zip(map(bytes.translate, vecs, map(first, infos)), vs))
-        pidem.update(itertools.compress(vs, map(eq, map(bytes.translate, vecs, map(add, vecs, ppad)), vecs)))
-    order = sum(c * sum(k for u, k in count.items() if u >= v) for v, c in pcount.items())
-    idempotents = sum(c * sum(k for u, k in idem.items() if u == v or u >= m) for v, c in pidem.items())
-    # an image mask holds bit 0, as every image above holds the value 0
-    suffix_masks = {v: [x for u, xs in masks.items() if u >= v for x in xs] for v in range(m)}
-    image_masks: set[int] = set()
-    for mask, v in pmasks.items():
-        image_masks.update([mask | x for x in suffix_masks[v]])
-    images = [0] * n
-    for mask in image_masks:
-        images[mask.bit_count() - 1] += 1
-    # per prefix kernel vector, its height and the values v its prefixes end on
-    ends: dict[bytes, set[int]] = {}
-    for k, v in pkernels:
-        ends.setdefault(k, set()).add(v)
-    added: dict[frozenset, Counter] = {}
-    kernel_counts = [0] * n
-    for (h, vs), c in Counter((max(k), frozenset(vs)) for k, vs in ends.items()).items():
-        if vs not in added:
-            # the relative kernels of the suffixes under some v of vs
-            least = min(vs)
-            keys = {(k, False) for k, u in kernels if u > least} | {(k, True) for k, u in kernels if u in vs}
-            added[vs] = Counter(max(k) - touch for k, touch in keys)
-        for a, x in added[vs].items():
-            kernel_counts[h + a] += c * x
-    return order, tuple(kernel_counts), tuple(images), idempotents
-
-
-def _split(n: int) -> int:
-    """The split point m of the key census of SS'(n): about 2(n+1)/3, where
-    the prefixes, SS'(m-1), and the suffixes are of one order of size.  On
-    a 2-vCPU VM, in-process: n = 8 takes 2.7 ms at m = 6 against 4.2 ms at
-    5 and 3.3 ms at 7; n = 19 takes 21 s and 572 MB at m = 13, where m = 12
-    scans 9.5 million suffixes and m = 14 71 million prefixes."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    return max(2, (2 * n + 2) // 3)
-
-
 def census(n: int) -> Census:
     """All the counts of :class:`Census` over SS'(n), from prefix and suffix
-    keys (:func:`_key_census`): no map is built and no vector of SS'(n) is
-    made.  Each map still counts through its own prefix and its suffix's
-    keys; no closed form enters.  ``count_rstar_classes`` and
+    keys (``_census.key_census``): no map is built and no vector of SS'(n)
+    is made.  Each map still counts through its own prefix and its
+    suffix's keys; no closed form enters.  ``count_rstar_classes`` and
     ``count_lstar_classes`` are the slow references."""
-    order, kernels, images, _ = _key_census(n, _split(n))
+    from ._census import key_census, split_point
+
+    order, kernels, images, _ = key_census(n, split_point(n))
     return Census(order, kernels, images)
 
 

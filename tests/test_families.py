@@ -20,6 +20,7 @@ from schroeder import (
     verify_identity_corollary,
 )
 import schroeder.families
+from schroeder._census import key_census
 from schroeder.families import census, height_counts, iter_family, iter_heights, ss_prime_minimal_generators
 from schroeder.pmap import eps_1k, kernel_vector, requisite_from_image
 
@@ -408,6 +409,11 @@ def test_split_facts_hold_for_every_map(n):
             relative = bytes(rank[w] if w else 0 for w in a[m:])
             shifted = bytes(r + len(image_p) - 1 if r else 0 for r in relative)
             assert kernel_vector(a) == kernel_vector(prefix)[:m] + shifted
+            # the census files S under its least value u and its own kernel
+            # vector: under v its relative kernel is that vector, plus 1 on
+            # each defined point unless v = u
+            u = min(image_s, default=n + 1)
+            assert relative == bytes(r + (v != u) if r else 0 for r in kernel_vector(suffix)[m:])
             pair = (kernel_vector(prefix), relative)
             assert pairs.setdefault(pair, kernel_vector(a)) == kernel_vector(a)
             assert kernels.setdefault(kernel_vector(a), pair) == pair
@@ -428,7 +434,7 @@ def test_key_census_matches_the_per_map_reference(n):
     pad = bytes(255 - n)
     idempotents = sum(v.translate(v + pad) == v for _, v in iter_heights(n, 0, n - 1))
     for m in split_points(n):
-        assert schroeder.families._key_census(n, m) == (want.order, want.kernels, want.images, idempotents), m
+        assert key_census(n, m) == (want.order, want.kernels, want.images, idempotents), m
     assert census(n) == want
     assert count_idempotents(n) == idempotents
 
