@@ -137,8 +137,8 @@ def key_census(n: int, m: int) -> tuple[int, tuple[int, ...], tuple[int, ...], i
 def split_point(n: int) -> int:
     """The split point m of the key census of SS'(n): about 2(n+1)/3, where
     the prefixes, SS'(m-1), and the suffixes are of one order of size.  On
-    a 2-vCPU VM, in-process: n = 8 takes 2.7 ms at m = 6 against 4.2 ms at
-    5 and 3.3 ms at 7; n = 19 takes 21 s and 572 MB at m = 13, where m = 12
+    a 2-vCPU VM, in-process: n = 8 takes 3.0 ms at m = 6 against 4.8 ms at
+    5 and 3.6 ms at 7; n = 19 takes 27 s and 467 MB at m = 13, where m = 12
     scans 9.5 million suffixes and m = 14 71 million prefixes."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")

@@ -48,7 +48,7 @@ from .rank import (
 # L* at n=11 takes 58 s and 830 MB
 ENUM_GUARD = 10
 # invariants counts from prefix and suffix keys and builds no map: on a
-# 2-vCPU VM --n 19 takes 22-28 s and 573 MB, and --n 20 ran past 100 s
+# 2-vCPU VM --n 19 takes 25-30 s and 467 MB, and --n 20 ran past 100 s
 INVARIANTS_GUARD = 19
 # enumerate writes each block of codes as the scan makes it and holds no
 # family: on a 2-vCPU VM --format json takes 0.7 s at n=11, 2.9 s and 27 MB

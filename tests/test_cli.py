@@ -583,7 +583,7 @@ def test_verify_all_checks_abundance_of_ideals_and_quotients(capsys):
 def test_enumeration_guard_stops_past_the_measured_frontier(capsys, command, n):
     # enumerate writes the scan's blocks of codes and takes 12-14 s at
     # n = 13; invariants counts from prefix and suffix keys and takes
-    # 22-28 s at n = 19; the n below each stays allowed
+    # 25-30 s at n = 19; the n below each stays allowed
     code, out, err = run(capsys, *command, "--n", str(n))
     assert code == 3
     assert out == ""
