@@ -13,10 +13,10 @@ The prefixes before the middle point are walked one by one; below them,
 each subtree is built once as a table of code suffixes and vector tails and
 emitted behind every prefix that reaches it, so the scan yields blocks,
 pairs of parallel lists of codes and vectors, or of codes alone for a
-caller that reads no vector.  ``family_blocks`` reads a family as blocks;
-``iter_heights`` scans SS'(n) between two heights, the band every target
-table of ``green`` is read from, and ``iter_family`` streams a family, both
-one (code, vector) pair at a time; ``enumerate_family`` lists the maps.
+caller that reads no vector, and every reader takes them as blocks:
+``family_blocks`` reads a family, ``_height_blocks`` scans SS'(n) between
+two heights, the band every target table of ``green`` is made from, and
+``enumerate_family`` lists the maps, wrapping each scanned vector unchecked.
 
 ``census`` and ``count_idempotents`` make no vector of SS'(n): they split
 every map at a point m into a prefix, a member of SS'(m-1), and a suffix on
@@ -29,18 +29,16 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ._record import Record
-from .pmap import _RANKS, PartialMap, eps_1k, requisite_from_image
+from .pmap import PartialMap, _wrap, eps_1k, requisite_from_image
 
 __all__ = [
     "Family",
     "FamilySpec",
     "enumerate_family",
     "family_blocks",
-    "iter_family",
-    "iter_heights",
     "schroeder_small",
     "binom",
     "count_idempotents",
@@ -203,20 +201,9 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
         yield block()
 
 
-def _pairs(blocks: Iterable[tuple[list[str], list[bytes]]]) -> Iterator[tuple[str, bytes]]:
-    """The (code, vector) pairs of the blocks, one at a time."""
-    return itertools.chain.from_iterable(itertools.starmap(zip, blocks))
-
-
 def _height_blocks(n: int, lo: int, hi: int) -> Iterator[tuple[list[str], list[bytes]]]:
     """The members of SS'(n) of height lo..hi, as blocks."""
     return _blocks(n, tuple(range(2, n + 1)), lo, hi)
-
-
-def iter_heights(n: int, lo: int, hi: int) -> Iterator[tuple[str, bytes]]:
-    """The code and byte vector of every member of SS'(n) of height lo..hi,
-    in canonical text order."""
-    return _pairs(_height_blocks(n, lo, hi))
 
 
 def _idempotent_blocks(n: int, lo: int, hi: int) -> Iterator[tuple[list[str], list[bytes]]]:
@@ -270,17 +257,11 @@ def family_blocks(spec: FamilySpec, vectors: bool = True) -> Iterator[tuple[list
     raise ValueError(f"unsupported family {spec.kind}")  # pragma: no cover
 
 
-def iter_family(spec: FamilySpec) -> Iterator[tuple[str, bytes]]:
-    """The canonical code and byte vector of each member of the family, in
-    canonical text order: the blocks of :func:`family_blocks` one pair at a
-    time."""
-    return _pairs(family_blocks(spec))
-
-
 def enumerate_family(spec: FamilySpec) -> list[PartialMap]:
     """All members of the family in canonical text order, as
-    :func:`family_blocks` makes them."""
-    return [PartialMap.from_vector(v) for _, vecs in family_blocks(spec) for v in vecs]
+    :func:`family_blocks` makes them, each vector wrapped unchecked: the
+    scan builds only valid ones."""
+    return [_wrap(v) for _, vecs in family_blocks(spec) for v in vecs]
 
 
 # -- counting formulas ---------------------------------------------------
@@ -420,7 +401,7 @@ def _idempotents_at(n: int, lo: int, hi: int) -> dict[int, set[PartialMap]]:
     found: dict[int, set[PartialMap]] = {p: set() for p in range(lo, hi + 1)}
     for _, vecs in _idempotent_blocks(n, lo, hi):
         for v in vecs:
-            a = PartialMap.from_vector(v)
+            a = _wrap(v)
             found[a.height()].add(a)
     return found
 

@@ -1,12 +1,14 @@
 """Finite semigroup container and Green's / starred Green's relations.
 
-A :class:`SemigroupTable` interns a composition-closed set of partial maps
-(optionally with a distinguished zero for Rees quotients) and exposes the
-product on element indices.  Classical Green's relations are the strongly
-connected components of the left and right Cayley graphs over a generating
-set, so no |S|^2 product table is built for them; starred relations come in
-a definitional variant (the cancellation biconditional quantified over S^1)
-and a characterized fast path (grouping by image / kernel / height).
+A :class:`SemigroupTable` indexes the byte vectors of a composition-closed
+set of partial maps (after a distinguished zero for Rees quotients) and
+exposes the product on element indices: ``build_table`` makes one from
+maps, ``target_table`` from one scan of SS'(n) between two heights.
+Classical Green's relations are the strongly connected components of the
+left and right Cayley graphs over a generating set, so no |S|^2 product
+table is built for them; starred relations come in a definitional variant
+(the cancellation biconditional quantified over S^1) and a characterized
+fast path (grouping by image / kernel / height).
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from typing import Iterable, Literal, Sequence
 
 from ._record import Record
 from .families import (
+    _height_blocks,
     generating_set_G,
     height_counts,
-    iter_heights,
     ss_prime_minimal_generators,
 )
-from .pmap import PartialMap, _restriction_groups, _table, ambient_size
+from .pmap import PartialMap, _restriction_groups, _table, _wrap, ambient_size
 
 __all__ = [
     "Zero",
@@ -73,21 +75,27 @@ class NotClosedError(ValueError):
 
 
 class SemigroupTable:
-    """An interned, indexed, composition-closed set of elements.
+    """An indexed, composition-closed set of partial maps, after a zero
+    when the table is a Rees quotient.
 
-    ``_index`` maps each element's byte vector (see ``pmap``), or ZERO, to
-    its index; ``_vectors`` holds the vectors composed, the empty map's for ZERO.
+    Built from distinct valid byte vectors (see ``pmap``) of one n, in the
+    order given: ``elements`` wraps each unchecked, as products are.  With
+    ``collapse_below`` the zero ZERO is element 0 and every product of
+    height below it is the zero.  ``_vectors`` holds the vectors composed,
+    the empty map's for ZERO, and ``_index`` maps each element's vector, or
+    ZERO, to its index.
     """
 
-    def __init__(
-        self, n: int, elements: list, zero_index: int | None, collapse_below: int | None, _index: dict
-    ) -> None:
-        self.n = n
-        self.elements = elements  # PartialMap values, plus ZERO at index 0 when present
-        self.zero_index = zero_index
+    def __init__(self, vectors: list[bytes], collapse_below: int | None) -> None:
+        zero = collapse_below is not None
+        self.n = n = len(vectors[0]) - 1
         self.collapse_below = collapse_below
-        self._index = _index
-        self._vectors = [bytes(n + 1) if a is ZERO else a.vector for a in elements]
+        self.zero_index = 0 if zero else None
+        self.elements: list = [ZERO] * zero + list(map(_wrap, vectors))
+        self._vectors = [bytes(n + 1)] * zero + vectors
+        self._index = {v: i for i, v in enumerate(vectors, zero)}
+        if zero:
+            self._index[ZERO] = 0
         self._tables: list | None = None  # translate tables, lazy
         self._classes: list | None = None  # class-compressed rows, lazy
         self._rows: list | None = None  # full product table, lazy
@@ -268,18 +276,6 @@ def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[array]]:
     return gens, right
 
 
-def _intern(elems: list[PartialMap], collapse_below: int | None) -> SemigroupTable:
-    """The unverified table of ``elems``, indexed in their order, after the
-    zero of the Rees quotient when ``collapse_below`` is given."""
-    if not elems:
-        raise ValueError("empty element set")
-    n = ambient_size(elems)
-    listing: list = elems if collapse_below is None else [ZERO, *elems]
-    index = {a if a is ZERO else a.vector: i for i, a in enumerate(listing)}
-    zero_index = None if collapse_below is None else 0
-    return SemigroupTable(n, listing, zero_index, collapse_below, index)
-
-
 def build_table(
     elements: Iterable[PartialMap],
     collapse_below: int | None = None,
@@ -296,7 +292,11 @@ def build_table(
     """
     if collapse_below is not None and collapse_below < 1:
         raise ValueError(f"a Rees collapse needs a height >= 1, got {collapse_below}")
-    table = _intern(sorted(set(elements), key=lambda a: a.encode()), collapse_below)
+    elems = sorted(set(elements), key=lambda a: a.encode())
+    if not elems:
+        raise ValueError("empty element set")
+    ambient_size(elems)
+    table = SemigroupTable([a.vector for a in elems], collapse_below)
     if verify:
         table.right_cayley()  # raises on the first missing product
     return table
@@ -311,8 +311,9 @@ def target_table(n: int, target: str, p: int | None = None, lo: int | None = Non
     "ss-prime" and p otherwise, and lo defaults to the target's own least
     height: 0, or p for "quotient".  For lo >= 1 every product of height
     below lo is the zero, so the table is the Rees quotient of the target
-    by its ideal K(n,lo-1).  It is one scan of those heights, interned in
-    the order it comes, which is that of ``encode()``; no other map is made.
+    by its ideal K(n,lo-1).  It is one scan of those heights, read as
+    blocks (``families._height_blocks``), whose vectors the table takes in
+    the order they come, that of ``encode()``; no other map is made.
     """
     if target not in ("ss-prime", "ideal", "quotient"):
         raise ValueError(f"unknown target {target!r}")
@@ -331,8 +332,7 @@ def target_table(n: int, target: str, p: int | None = None, lo: int | None = Non
         lo = least
     elif not least <= lo <= top:
         raise ValueError(f"target {target!r} has heights {least}..{top}, not {lo}")
-    band = [PartialMap.from_vector(v) for _, v in iter_heights(n, lo, top)]
-    return _intern(band, lo or None)
+    return SemigroupTable([v for _, vecs in _height_blocks(n, lo, top) for v in vecs], lo or None)
 
 
 class EqPartition(Record):
@@ -481,26 +481,17 @@ def starred_definitional(table: SemigroupTable, which: Literal["Lstar", "Rstar"]
     a L* b iff for all x, y in S^1: ax = ay <=> bx = by; equivalently the
     equivalence x ~ y <=> ax = ay on S^1 is the same for a and b, so we
     fingerprint that equivalence per element and group.  The formal identity
-    of S^1 is virtual (index -1), never materialized as a map.
+    1 of S^1 is never materialized: a1 = a opens each fingerprint, then a's
+    row of the product table for L*, or its column for R*.
     """
     if which not in ("Lstar", "Rstar"):
         raise ValueError(f"definitional variant only for Lstar/Rstar, got {which!r}")
-    size = len(table)
     rows = table.full_table()
-    s1 = [-1] + list(range(size))  # -1 is the adjoined identity
-
-    def prod(a: int, x: int) -> int:
-        if x == -1:
-            return a
-        if which == "Lstar":
-            return rows[a][x]
-        return rows[x][a]
-
     keys = []
-    for a in range(size):
-        seen: dict[int, int] = {}
-        fingerprint = tuple(seen.setdefault(prod(a, x), len(seen)) for x in s1)
-        keys.append(fingerprint)
+    for a in range(len(rows)):
+        seen = {a: 0}  # a1 = 1a = a, 1 the adjoined identity
+        products = rows[a] if which == "Lstar" else [row[a] for row in rows]
+        keys.append(tuple(seen.setdefault(x, len(seen)) for x in products))
     return EqPartition.from_keys(keys)
 
 

@@ -18,7 +18,8 @@ Rees zero as the empty map, whose products all fall below the height cut.
 
 Maps are checked where they enter (``PartialMap(n, pairs)``, ``of``,
 ``empty``, ``from_vector`` and :func:`parse`); a product of valid vectors is
-valid, so the kernel wraps its results unchecked.
+valid, so the kernel wraps its results unchecked, as the scans of
+``families`` and the tables of ``green`` wrap the vectors they build.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from .families import (
     FamilySpec,
     binom,
     enumerate_family,
+    formula_rstar_classes,
     height_counts,
 )
 from .green import SemigroupTable, target_table
@@ -246,13 +247,11 @@ def rank_layered(
 
 
 def formula_rank_quotient(n: int, p: int) -> int:
-    """Rank of the Rees quotient at height p:
-    C(n-1,p-1) + sum_{r=p}^{n-1} C(n-1,r) C(r-1,p-1)."""
+    """Rank of the Rees quotient at height p: C(n-1,p-1) plus the
+    R*-classes of height p, sum_{r=p}^{n-1} C(n-1,r) C(r-1,p-1)."""
     if not 1 <= p <= n - 1:
         raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
-    return binom(n - 1, p - 1) + sum(
-        binom(n - 1, r) * binom(r - 1, p - 1) for r in range(p, n)
-    )
+    return binom(n - 1, p - 1) + formula_rstar_classes(n, p)
 
 
 def formula_rank_ideal(n: int, p: int) -> int:

@@ -106,6 +106,7 @@ def test_enumerate_csv_builds_no_map(capsys, monkeypatch):
 
     monkeypatch.setattr(PartialMap, "__init__", refuse)
     monkeypatch.setattr(schroeder.pmap, "_wrap", refuse)
+    monkeypatch.setattr(schroeder.families, "_wrap", refuse)
     for (kind, n, p), want in cases:
         argv = ["enumerate", "--family", kind.value, "--n", str(n), "--format", "csv"]
         code, out, _ = run(capsys, *argv, *(["--p", str(p)] if p is not None else []))
@@ -215,6 +216,7 @@ def test_invariants_builds_no_map(capsys, monkeypatch):
 
     monkeypatch.setattr(PartialMap, "__init__", refuse)
     monkeypatch.setattr(schroeder.pmap, "_wrap", refuse)
+    monkeypatch.setattr(schroeder.families, "_wrap", refuse)
     with pytest.raises(AssertionError):
         PartialMap.from_vector(bytes(3))
     code, out, _ = run(capsys, "invariants", "--n", "6")
@@ -475,20 +477,22 @@ def test_rank_ideal_guard(capsys):
 
 
 def test_rank_quotient_builds_only_its_height(capsys, monkeypatch):
-    """The quotient at height 2 of SS'(6) builds its 363 maps of height 2
-    and no other map of SS'(6)."""
-    from_vector = PartialMap.from_vector.__func__
-    built = []
+    """The quotient at height 2 of SS'(6) is made from the 363 vectors of
+    height 2 that one scan yields, and from no other vector of SS'(6)."""
+    green_module = importlib.import_module("schroeder.green")
+    height_blocks = green_module._height_blocks
+    scanned = []
 
-    def counted(cls, vector):
-        built.append(vector)
-        return from_vector(cls, vector)
+    def counted(n, lo, hi):
+        for codes, vecs in height_blocks(n, lo, hi):
+            scanned.extend(vecs)
+            yield codes, vecs
 
-    monkeypatch.setattr(PartialMap, "from_vector", classmethod(counted))
+    monkeypatch.setattr(green_module, "_height_blocks", counted)
     code, _, _ = run(capsys, "rank", "--target", "quotient", "--n", "6", "--p", "2")
     assert code == 0
-    assert len(built) == 363
-    assert all(len(set(v)) - 1 == 2 for v in built)
+    assert len(scanned) == 363
+    assert all(len(set(v)) - 1 == 2 for v in scanned)
 
 
 @pytest.mark.long
@@ -508,12 +512,14 @@ def test_rank_of_non_closed_set_is_verification_failure(capsys, monkeypatch):
     steps down to the layer table of heights 2 and 3, which here misses
     {2:1,3:2,4:4} squared, {3:1,4:4}."""
     green_module = importlib.import_module("schroeder.green")
-    iter_heights = green_module.iter_heights
+    height_blocks = green_module._height_blocks
 
     def without_a_square(n, lo, hi):
-        return ((code, v) for code, v in iter_heights(n, lo, hi) if code != "3:1,4:4")
+        for codes, vecs in height_blocks(n, lo, hi):
+            kept = [(c, v) for c, v in zip(codes, vecs) if c != "3:1,4:4"]
+            yield [c for c, _ in kept], [v for _, v in kept]
 
-    monkeypatch.setattr(green_module, "iter_heights", without_a_square)
+    monkeypatch.setattr(green_module, "_height_blocks", without_a_square)
     code, out, err = run(capsys, "rank", "--n", "4")
     assert code == 1
     assert out == ""

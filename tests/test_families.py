@@ -21,7 +21,7 @@ from schroeder import (
 )
 import schroeder.families
 from schroeder._census import key_census
-from schroeder.families import census, height_counts, iter_family, iter_heights, ss_prime_minimal_generators
+from schroeder.families import _height_blocks, census, family_blocks, height_counts, ss_prime_minimal_generators
 from schroeder.pmap import eps_1k, kernel_vector, requisite_from_image
 
 
@@ -118,10 +118,10 @@ def family_reference(walks, kind, n, p):
 def assert_scan_matches_reference(walks, kind, n, p):
     """The scan lists the reference in ``encode()`` order, and each code it
     builds from its parent's is the encoding of the map it comes with."""
-    pairs = list(iter_family(FamilySpec(kind, n, p)))
+    blocks = list(family_blocks(FamilySpec(kind, n, p)))
     want = family_reference(walks, kind, n, p)
-    assert [PartialMap.from_vector(v) for _, v in pairs] == want, (kind, n, p)
-    assert [code for code, _ in pairs] == [a.encode() for a in want], (kind, n, p)
+    assert [PartialMap.from_vector(v) for _, vecs in blocks for v in vecs] == want, (kind, n, p)
+    assert [code for codes, _ in blocks for code in codes] == [a.encode() for a in want], (kind, n, p)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -229,7 +229,7 @@ def test_scan_order_with_two_digit_points():
     ls = sorted(a.encode() for a in full_walk_reference(10, range(1, 11)))
     ss_prime = [code for code in ls if not code.startswith("1:")]
     for kind, want in ((Family.LS, ls), (Family.SS_PRIME, ss_prime)):
-        got = [code for code, _ in iter_family(FamilySpec(kind, 10))]
+        got = [code for codes, _ in family_blocks(FamilySpec(kind, 10)) for code in codes]
         assert got == want, kind
 
 
@@ -377,10 +377,15 @@ def test_census_takes_a_stream():
     over."""
     for n in (2, 5):
         spec = FamilySpec(Family.SS_PRIME, n)
-        streamed = census_reference(v for _, v in iter_family(spec))
+        streamed = census_reference(v for _, vecs in family_blocks(spec) for v in vecs)
         assert streamed == census_reference([a.vector for a in enumerate_family(spec)])
     with pytest.raises(ValueError):
         census_reference(iter(()))
+
+
+def scanned_vectors(n):
+    """The vectors of SS'(n) as the heights scan yields them, one at a time."""
+    return (v for _, vecs in _height_blocks(n, 0, n - 1) for v in vecs)
 
 
 def split_points(n):
@@ -398,7 +403,7 @@ def test_split_facts_hold_for_every_map(n):
     pad = bytes(255 - n)
     for m in range(2, n + 2):
         pairs, kernels = {}, {}
-        for _, a in iter_heights(n, 0, n - 1):
+        for a in scanned_vectors(n):
             prefix, suffix = a[:m] + bytes(n + 1 - m), bytes(m) + a[m:]
             image_p, image_s = set(prefix) - {0}, set(suffix) - {0}
             v = max(image_p, default=0)
@@ -430,9 +435,9 @@ def test_key_census_matches_the_per_map_reference(n):
     """The census and the idempotents from prefix and suffix keys equal the
     per-map census and the squared vectors of the scan, at four split
     points and at the one ``census`` and ``count_idempotents`` choose."""
-    want = census_reference(v for _, v in iter_heights(n, 0, n - 1))
+    want = census_reference(scanned_vectors(n))
     pad = bytes(255 - n)
-    idempotents = sum(v.translate(v + pad) == v for _, v in iter_heights(n, 0, n - 1))
+    idempotents = sum(v.translate(v + pad) == v for v in scanned_vectors(n))
     for m in split_points(n):
         assert key_census(n, m) == (want.order, want.kernels, want.images, idempotents), m
     assert census(n) == want

@@ -291,17 +291,17 @@ def test_target_table_is_one_scan_and_sorts_nothing(monkeypatch):
     """Every target and lo at n <= 6: one scan of heights lo..top, and no
     ``encode()`` call, so no sort by it."""
     green_module = importlib.import_module("schroeder.green")
-    iter_heights = green_module.iter_heights
+    height_blocks = green_module._height_blocks
     scans = []
 
     def counted(n, lo, hi):
         scans.append((n, lo, hi))
-        return iter_heights(n, lo, hi)
+        return height_blocks(n, lo, hi)
 
     def refuse(self):
         raise AssertionError("target_table called encode()")
 
-    monkeypatch.setattr(green_module, "iter_heights", counted)
+    monkeypatch.setattr(green_module, "_height_blocks", counted)
     monkeypatch.setattr(PartialMap, "encode", refuse)
     for n in range(2, 7):
         cases = [("ss-prime", None, n - 1)]
@@ -311,6 +311,40 @@ def test_target_table_is_one_scan_and_sorts_nothing(monkeypatch):
                 scans.clear()
                 target_table(n, target, p, lo)
                 assert scans == [(n, lo, top)], (target, p, lo)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda n=n, t=t, p=p, lo=lo: target_table(n, t, p, lo), id=f"{t}-n{n}-p{p}-lo{lo}")
+     for n in range(1, 6)
+     for t, p, top in [("ss-prime", None, n - 1)]
+     + [(t, p, p) for t in ("ideal", "quotient") for p in range(1, n)]
+     for lo in range(p if t == "quotient" else 0, top + 1)]
+    + [pytest.param(lambda: build_table(enumerate_family(FamilySpec(Family.LS, 4)), verify=False),
+                    id="ls-n4"),
+       pytest.param(lambda: build_table(all_partial_maps(3), verify=False),
+                    id="all-partial-maps-n3")],
+)
+def test_table_layout_follows_its_vectors_and_cut(make):
+    """A table puts the zero first exactly when it has a cut, composes the
+    zero as the empty map, and keys every element once in ``_index``, each
+    map by the vector it is composed by."""
+    t = make()
+    n = t.n
+    assert (t.zero_index == 0) == (t.collapse_below is not None)
+    assert t.zero_index in (0, None)
+    if t.zero_index is not None:
+        assert t.elements[0] is ZERO and t._vectors[0] == bytes(n + 1)
+        assert t.index_of(ZERO) == 0
+    for i, a in enumerate(t.elements):
+        if i != t.zero_index:
+            assert a.vector == t._vectors[i] and t.index_of(a) == i, i
+    assert len(t._index) == len(t.elements) == len(t._vectors)
+
+
+def test_build_table_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="^empty element set$"):
+        build_table([])
 
 
 def test_product_builds_no_class_rows(ss):

@@ -25,6 +25,7 @@ from schroeder import (
 )
 from schroeder.green import build_table, target_table
 from schroeder.pmap import closure_vectors
+import schroeder.families
 import schroeder.rank
 from schroeder.rank import _factor_constraints, rank_layered
 
@@ -423,30 +424,36 @@ def test_closure_rejects_mixed_or_oversized_n():
 def test_hot_paths_do_not_compose_partial_maps(monkeypatch, ss):
     """closure, verify_theorem_hq and the rank oracle compose byte vectors
     and wrap the products unchecked: none of them reaches the validating
-    constructor ``PartialMap(n, pairs)``, and only the enumeration of SS'(4)
-    in verify_theorem_hq builds maps from vectors, one per element.  The
-    generators and the table are built first, with that constructor."""
+    constructor ``PartialMap(n, pairs)`` or checks a vector with
+    ``from_vector``, and only the enumeration of SS'(4) in verify_theorem_hq
+    wraps scanned vectors, one per element.  The generators and the table
+    are built first."""
     gens = ss_prime_minimal_generators(5)
     t = target_table(4, "ss-prime")
-    from_vector = PartialMap.from_vector.__func__
-    built = []
+    size = len(ss(4))
+    wrap = schroeder.families._wrap
+    wrapped = []
 
     def refuse(self, n, pairs):
         raise AssertionError("validating constructor reached from a hot path")
 
-    def counted(cls, vector):
-        built.append(vector)
-        return from_vector(cls, vector)
+    def refuse_check(cls, vector):
+        raise AssertionError("a vector checked again on a hot path")
+
+    def counted(vector):
+        wrapped.append(vector)
+        return wrap(vector)
 
     monkeypatch.setattr(PartialMap, "__init__", refuse)
-    monkeypatch.setattr(PartialMap, "from_vector", classmethod(counted))
+    monkeypatch.setattr(PartialMap, "from_vector", classmethod(refuse_check))
+    monkeypatch.setattr(schroeder.families, "_wrap", counted)
     assert len(closure(gens)) == 197
-    assert not built
+    assert not wrapped
     assert verify_theorem_hq(4)
-    assert len(built) == len(ss(4))
+    assert len(wrapped) == size
     result = rank_oracle(t)
     assert result.certified and result.rank == 8
-    assert len(built) == len(ss(4))
+    assert len(wrapped) == size
 
 
 def test_closure_indices_respects_quotient(table):
