@@ -45,7 +45,7 @@ from .rank import (
 )
 
 # characterized starred relations group what they enumerate: on a 2-vCPU VM
-# L* at n=11 takes 58 s and 830 MB
+# L* at n=11 takes 8.9 s and 849 MB, and n=12 holds about 5x the maps
 ENUM_GUARD = 10
 # invariants counts from prefix and suffix keys and builds no map: on a
 # 2-vCPU VM --n 19 takes 25-30 s and 467 MB, and --n 20 ran past 100 s
@@ -64,10 +64,10 @@ GREEN_IDEAL_GUARD = 9
 # SS'(12) closes about 5x as many maps in about 5x the memory
 RANK_GUARD = 11
 # ideals and quotients run the oracle on the quotient at height p itself: on a
-# 2-vCPU VM every one at n=9 takes at most 5.6-6.7 s and 472 MB (ideal (9,4))
-RANK_QUOTIENT_GUARD = 9
+# 2-vCPU VM every one at n=10 takes at most 24 s and 640 MB (ideal (10,4))
+RANK_QUOTIENT_GUARD = 10
 # the definitional starred relations cancel over S^1 in the product table: on
-# a 2-vCPU VM L*/R* take 0.50 / 0.73 s and 27 MB at n=6, and 11.3 / 10.5 s and
+# a 2-vCPU VM L*/R* take 0.50 / 0.73 s and 27 MB at n=6, and 4.1 / 5.6 s and
 # 244 / 254 MB at n=7
 DEFINITIONAL_GUARD = 7
 # verify-all runs every check up to n-max: --n-max 8 takes 20.4 s and 152 MB

@@ -14,6 +14,8 @@ generates the whole target.
 
 from __future__ import annotations
 
+from array import array
+
 from ._record import Record
 from .families import (
     Family,
@@ -115,9 +117,9 @@ class RankResult(Record):
         Record.__init__(self, rank, essential, certified, generating_set, notes)
 
 
-def _factor_constraints(table: SemigroupTable, essential: set[int]) -> list[frozenset]:
-    """The necessary-membership constraints on any generating set A that
-    avoid the given essentials.
+def _factor_constraints(table: SemigroupTable, essential: set[int]) -> list[tuple]:
+    """The constraints on any generating set A that avoid the given
+    essentials, each ``(s, parts)``: s and the members of the arrays in parts.
 
     Take a shortest expression s = g1 ... gk over A of an element s not in
     A; then k >= 2, the prefix u = g1...g_{k-1} and the suffix v = g2...gk
@@ -129,59 +131,58 @@ def _factor_constraints(table: SemigroupTable, essential: set[int]) -> list[froz
     essentials therefore adds its count to a sound lower bound on the rank.
     The zero of a Rees quotient gets no constraints: nearly every product
     there is the zero, and any subset of the constraints still bounds the
-    rank below.  A predecessor set is dropped at its first factor that is
-    an essential, an essential's own sets are never filled, and each kept
-    set is released once emitted.
+    rank below.  A last-factor constraint keeps each member array of
+    ``class_rows`` it unites once (rows of one image share them), a
+    first-factor one an ``array('I')`` of its rows u (a row's classes have
+    distinct products); each is dropped at its first essential class or row.
     """
-    size, zi = len(table), table.zero_index
-    # None marks a set that meets the essentials (each holds its own s) or
-    # belongs to the zero, and so is never emitted
-    dropped = essential | {zi}
-    pred_right: list[set[int] | None] = [None if s in dropped else set() for s in range(size)]
-    pred_left: list[set[int] | None] = [None if s in dropped else set() for s in range(size)]
-    for u, (_, members, composed) in enumerate(table.class_rows()):
+    # None marks a constraint never emitted: it meets the essentials, or s is the zero
+    size, dropped = len(table), essential | {table.zero_index}
+    pred_right: list[dict | None] = [None if s in dropped else {} for s in range(size)]
+    pred_left: list[array | None] = [None if s in dropped else array("I") for s in range(size)]
+    hits: dict = {}  # id of a shared class_of -> the classes holding an essential
+    for u, (class_of, members, composed) in enumerate(table.class_rows()):
         u_essential = u in essential
+        if (hit := hits.get(id(class_of))) is None:
+            hit = hits[id(class_of)] = {class_of[e] for e in essential}
         for c, s in enumerate(composed):
-            if s != u:
-                factors = members[c]
-                # as in essential_elements; s itself may join pred_right[s],
-                # which each constraint holds anyway
-                if len(factors) > 1 or factors[0] != s:
-                    right = pred_right[s]
-                    if right is not None:
-                        if essential.isdisjoint(factors):
-                            right.update(factors)
-                        else:
-                            pred_right[s] = None
-                    left = pred_left[s]
-                    if left is not None:
-                        if u_essential:
-                            pred_left[s] = None
-                        else:
-                            left.add(u)
+            # as in essential_elements; s, which its constraints hold, may be a factor
+            if s != u and (len(factors := members[c]) > 1 or factors[0] != s):
+                right = pred_right[s]  # id of a member array -> the array
+                if right is not None and id(factors) not in right:
+                    if c in hit:
+                        pred_right[s] = None
+                    else:
+                        right[id(factors)] = factors
+                if u_essential:
+                    pred_left[s] = None
+                elif (left := pred_left[s]) is not None:
+                    left.append(u)
     out = []
     for s in range(size):
-        for preds in (pred_right, pred_left):
-            pred = preds[s]
-            if pred is not None:
-                preds[s] = None
-                pred.add(s)
-                out.append(frozenset(pred))
+        if (right := pred_right[s]) is not None:
+            out.append((s, right.values()))
+        if (left := pred_left[s]) is not None:
+            out.append((s, (left,)))
     return out
 
 
-def _disjoint_packing(constraints: list[frozenset]) -> list[frozenset]:
-    """Pairwise disjoint constraints, picked greedily by size: each needs
-    its own hitter, so their count lower-bounds any hitting set.  A
-    constraint that strictly contains another is sorted after it and meets
-    that one or whatever blocked it, so only minimal constraints are picked.
-    """
+def _disjoint_packing(constraints: list[tuple]) -> list[int]:
+    """The least member of each of a greedy packing of pairwise disjoint
+    constraints, by size and then in the given order: each needs its own
+    hitter, so their count lower-bounds any hitting set.  A constraint that
+    strictly contains another is sorted after it and meets that one or
+    whatever blocked it, so only minimal constraints are picked.  Each union
+    is dropped once sized; disjointness is tested part by part."""
+    order = sorted((len({s}.union(*parts)), i) for i, (s, parts) in enumerate(constraints))
     used: set[int] = set()
     packed = []
-    for c in sorted(constraints, key=len):
-        if used.isdisjoint(c):
-            used |= c
-            packed.append(c)
+    for _, i in order:
+        s, parts = constraints[i]
+        if s not in used and all(map(used.isdisjoint, parts)):
+            members = {s}.union(*parts)
+            used |= members
+            packed.append(min(members))
     return packed
 
 
@@ -193,14 +194,13 @@ def rank_oracle(table: SemigroupTable) -> RankResult:
     avoids them needs a generator outside them, so the essentials plus a
     greedy packing of pairwise disjoint constraints is a sound lower bound.
     The candidate is the essentials plus the least index of each packed
-    constraint, so its size is the bound; it is certified when it generates
-    the table, else ``notes`` carries the bound.  When the essentials
-    generate, each element outside them has a shortest expression over them,
-    with essential first and last factors, so no constraint avoids them.
+    constraint, as ``_disjoint_packing`` picks it, so its size is the bound;
+    it is certified if it generates the table, else ``notes`` has the bound.
+    When the essentials generate, no constraint avoids them: every other
+    element has a shortest expression over them, with essential end factors.
     """
     essential = essential_elements(table)
-    packed = _disjoint_packing(_factor_constraints(table, essential))
-    candidate = essential | {min(c) for c in packed}
+    candidate = essential | set(_disjoint_packing(_factor_constraints(table, essential)))
     certified = len(closure_indices(table, candidate)) == len(table)
     return RankResult(
         rank=len(candidate) if certified else None,

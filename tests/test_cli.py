@@ -464,13 +464,13 @@ def test_rank_guard_table_size(capsys):
 
 def test_rank_ideal_guard(capsys):
     # ideals and quotients run the oracle on the quotient at height p, which
-    # takes up to 5.6-6.7 s and 472 MB at n = 9, so both stop at n = 10; the whole
+    # takes up to 24 s and 640 MB at n = 10, so both stop at n = 11; the whole
     # SS'(9) as an ideal runs within the guard
     for target in ("ideal", "quotient"):
-        code, out, err = run(capsys, "rank", "--target", target, "--n", "10", "--p", "4")
+        code, out, err = run(capsys, "rank", "--target", target, "--n", "11", "--p", "4")
         assert code == 3
         assert out == ""
-        assert "guarded at n=9" in err and "518,859" in err and "--max-n" in err
+        assert "guarded at n=10" in err and "2,646,723" in err and "--max-n" in err
     code, out, _ = run(capsys, "rank", "--target", "ideal", "--n", "9", "--p", "8")
     assert code == 0
     assert out.startswith("rank: 23 (formula 23) PASS")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from pmap_reference import all_partial_maps, compose_reference
@@ -27,7 +28,7 @@ from schroeder.green import build_table, target_table
 from schroeder.pmap import closure_vectors
 import schroeder.families
 import schroeder.rank
-from schroeder.rank import _factor_constraints, rank_layered
+from schroeder.rank import _disjoint_packing, _factor_constraints, rank_layered
 
 
 # -- slow references on the full |S|^2 product table ----------------------
@@ -66,6 +67,60 @@ def factor_constraints_reference(table):
         out.append(frozenset({s}) | frozenset(pred_right[s]))
         out.append(frozenset({s}) | frozenset(pred_left[s]))
     return out
+
+
+def factor_constraint_sets(table, essential):
+    """The class-row scan of ``_factor_constraints`` with each constraint
+    kept as a set of ints and emitted as a frozenset, the form the oracle
+    used before it kept shared member arrays."""
+    size, zi = len(table), table.zero_index
+    dropped = essential | {zi}
+    pred_right = [None if s in dropped else set() for s in range(size)]
+    pred_left = [None if s in dropped else set() for s in range(size)]
+    for u, (_, members, composed) in enumerate(table.class_rows()):
+        u_essential = u in essential
+        for c, s in enumerate(composed):
+            if s != u:
+                factors = members[c]
+                if len(factors) > 1 or factors[0] != s:
+                    right = pred_right[s]
+                    if right is not None:
+                        if essential.isdisjoint(factors):
+                            right.update(factors)
+                        else:
+                            pred_right[s] = None
+                    left = pred_left[s]
+                    if left is not None:
+                        if u_essential:
+                            pred_left[s] = None
+                        else:
+                            left.add(u)
+    out = []
+    for s in range(size):
+        for preds in (pred_right, pred_left):
+            pred = preds[s]
+            if pred is not None:
+                preds[s] = None
+                pred.add(s)
+                out.append(frozenset(pred))
+    return out
+
+
+def disjoint_packing_reference(constraints):
+    """Pairwise disjoint frozensets, picked greedily by size, ties in the
+    given order."""
+    used = set()
+    packed = []
+    for c in sorted(constraints, key=len):
+        if used.isdisjoint(c):
+            used |= c
+            packed.append(c)
+    return packed
+
+
+def as_sets(constraints):
+    """Each ``(s, parts)`` of ``_factor_constraints`` as the frozenset it stands for."""
+    return [frozenset({s}).union(*parts) for s, parts in constraints]
 
 
 def closure_indices_reference(table, gen_indices):
@@ -141,13 +196,18 @@ CLASS_SCAN_TARGETS = [
 @pytest.mark.parametrize("make", CLASS_SCAN_TARGETS)
 def test_class_scans_match_entry_references(table, make):
     """The scans per restriction class find the same essentials and the
-    same constraints, in the same order, as the scans per table entry."""
+    same constraints, in the same order, as the scans per table entry, and
+    the packing picks the least member of each constraint that the greedy
+    packing of frozensets packs.  With no essentials given, some constraints
+    here are blocked by their s alone."""
     t = make(table)
     essential = essential_elements(t)
     assert essential == essential_reference(t)
     constraints = factor_constraints_reference(t)
-    assert _factor_constraints(t, set()) == constraints
-    assert _factor_constraints(t, essential) == [c for c in constraints if not (c & essential)]
+    for e in (set(), essential):
+        got, want = _factor_constraints(t, e), [c for c in constraints if not (c & e)]
+        assert as_sets(got) == want
+        assert _disjoint_packing(got) == [min(c) for c in disjoint_packing_reference(want)]
 
 
 @pytest.mark.parametrize("make", CLASS_SCAN_TARGETS + [
@@ -239,10 +299,46 @@ def test_generating_essentials_leave_no_constraint(n):
         essential = essential_elements(t)
         if len(closure_indices(t, essential)) == len(t):
             generating += 1
-            assert _factor_constraints(t, essential) == [], label
+            assert as_sets(_factor_constraints(t, essential)) == [], label
             result = rank_oracle(t)
             assert result.certified and result.generating_set == tuple(sorted(essential)), label
     assert generating
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_packing_picks_match_the_frozenset_reference(n):
+    """The packing over shared member arrays picks, in order, the least
+    member of each constraint that the greedy packing of frozensets packs,
+    on every target and layer table of SS'(n)."""
+    for label, t in _target_and_layer_tables(n):
+        essential = essential_elements(t)
+        constraints = _factor_constraints(t, essential)
+        reference = factor_constraint_sets(t, essential)
+        assert as_sets(constraints) == reference, label
+        assert _disjoint_packing(constraints) == [
+            min(c) for c in disjoint_packing_reference(reference)
+        ], label
+
+
+@pytest.mark.parametrize("target, p, lo", [("quotient", 3, 3), ("ideal", 4, 4)],
+                         ids=["quotient-n8-p3", "ideal-n8-p4-lo4"])
+def test_rank_oracle_holds_less_than_the_class_rows(target, p, lo):
+    """Above the class rows it reads, the oracle's traced peak stays below
+    the traced size of those rows: no constraint holds a union of the
+    member arrays it shares with them."""
+    t = target_table(8, target, p, lo)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t.class_rows()
+        rows = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert rank_oracle(t).certified
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < rows, (peak, rows)
 
 
 @pytest.mark.parametrize("make", CLASS_SCAN_TARGETS + LAYER_TABLES)
@@ -520,7 +616,7 @@ def test_minimal_constraints_are_pairwise_disjoint(table, n):
         for quotient in (False, True):
             t = table(n, p, quotient)
             essential = essential_elements(t)
-            minimal = minimal_constraints(_factor_constraints(t, essential))
+            minimal = minimal_constraints(as_sets(_factor_constraints(t, essential)))
             assert sum(map(len, minimal)) == len(frozenset().union(*minimal))
             counts.append(len(minimal))
     assert n < 4 or max(counts) > 1  # from n=4 on there is something to overlap
