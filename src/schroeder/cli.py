@@ -257,7 +257,7 @@ def cmd_rank(args) -> int:
         "formula": formula,
         "certified": result.certified,
         "status": status,
-        "generating_set": sorted(table.elements[i].encode() for i in result.generating_set),
+        "generating_set": sorted(table.element(i).encode() for i in result.generating_set),
         "notes": result.notes,
     }
     if args.format == "json":

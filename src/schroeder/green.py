@@ -25,7 +25,7 @@ from .families import (
     height_counts,
     ss_prime_minimal_generators,
 )
-from .pmap import PartialMap, _restriction_groups, _table, _wrap, ambient_size
+from .pmap import PartialMap, _restriction_groups, _table, _wrap, ambient_size, kernel_vector
 
 __all__ = [
     "Zero",
@@ -79,11 +79,12 @@ class SemigroupTable:
     when the table is a Rees quotient.
 
     Built from distinct valid byte vectors (see ``pmap``) of one n, in the
-    order given: ``elements`` wraps each unchecked, as products are.  With
-    ``collapse_below`` the zero ZERO is element 0 and every product of
-    height below it is the zero.  ``_vectors`` holds the vectors composed,
-    the empty map's for ZERO, and ``_index`` maps each element's vector, or
-    ZERO, to its index.
+    order given.  With ``collapse_below`` the zero ZERO is element 0 and
+    every product of height below it is the zero.  ``_vectors`` holds the
+    vectors composed, the empty map's for ZERO, and ``_index`` maps each
+    element's vector, or ZERO, to its index.  Nothing else is kept per
+    element: :meth:`element` wraps one vector unchecked, as products are,
+    and ``elements`` wraps them all on its first read.
     """
 
     def __init__(self, vectors: list[bytes], collapse_below: int | None) -> None:
@@ -91,12 +92,11 @@ class SemigroupTable:
         self.n = n = len(vectors[0]) - 1
         self.collapse_below = collapse_below
         self.zero_index = 0 if zero else None
-        self.elements: list = [ZERO] * zero + list(map(_wrap, vectors))
         self._vectors = [bytes(n + 1)] * zero + vectors
         self._index = {v: i for i, v in enumerate(vectors, zero)}
         if zero:
             self._index[ZERO] = 0
-        self._tables: list | None = None  # translate tables, lazy
+        self._elements: list | None = None  # every element wrapped, lazy
         self._classes: list | None = None  # class-compressed rows, lazy
         self._rows: list | None = None  # full product table, lazy
         self._gens: list | None = None  # generating set, lazy
@@ -104,7 +104,19 @@ class SemigroupTable:
         self._left: list | None = None  # left Cayley graph, lazy
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._vectors)
+
+    @property
+    def elements(self) -> list:
+        """Every element, ZERO or a map, by index."""
+        if self._elements is None:
+            zero = self.zero_index is not None
+            self._elements = [ZERO] * zero + list(map(_wrap, self._vectors[zero:]))
+        return self._elements
+
+    def element(self, i: int):
+        """Element i, ZERO or a map."""
+        return ZERO if i == self.zero_index else _wrap(self._vectors[i])
 
     def index_of(self, a) -> int:
         key = a if a is ZERO else a.vector
@@ -116,11 +128,9 @@ class SemigroupTable:
     def product(self, i: int, j: int) -> int:
         return self.products(i, (j,))[0]
 
-    def _translate_tables(self) -> list:
-        """Each element's ``bytes.translate`` table, the empty map's for the zero."""
-        if self._tables is None:
-            self._tables = [_table(v) for v in self._vectors]
-        return self._tables
+    def _not_closed(self, i: int, j: int) -> NotClosedError:
+        a, b = self.element(i).encode(), self.element(j).encode()
+        return NotClosedError(f"not closed under composition: {a} * {b} is missing")
 
     def products(self, i: int, js) -> list[int]:
         """Indices of the products i*j for j in js: a row of the product
@@ -128,26 +138,42 @@ class SemigroupTable:
         missing from the table, i.e. the set is not closed.
 
         Composes byte vectors, the zero as the empty map, one ``bytes.translate``
-        per product; under a Rees collapse a product of height below
-        ``collapse_below`` (at most that many distinct bytes, 0 included) is the zero.
+        per product through j's vector padded as it composes; under a Rees
+        collapse a product of height below ``collapse_below`` (at most that
+        many distinct bytes, 0 included) is the zero.
         """
-        tables = self._translate_tables()
-        a = self._vectors[i]
+        vectors, pad = self._vectors, bytes(255 - self.n)
+        a = vectors[i]
         cut, zi = self.collapse_below, self.zero_index
         index = self._index
         row = []
         for j in js:
-            c = a.translate(tables[j])
+            c = a.translate(vectors[j] + pad)
             if cut is not None and len(set(c)) <= cut:
                 row.append(zi)
                 continue
             k = index.get(c)
             if k is None:
-                a, b = self.elements[i], self.elements[j]
-                raise NotClosedError(
-                    f"not closed under composition: {a.encode()} * {b.encode()} is missing"
-                )
+                raise self._not_closed(i, j)
             row.append(k)
+        return row
+
+    def _row(self, i: int, reps: list[int], tables: list[bytes], zero: int | None) -> list[int]:
+        """Indices of i*b for the factors b at ``reps``, given by their
+        translate tables, where i's image groups them by
+        ``pmap._restriction_groups`` and ``zero`` is the class that
+        collapses: one C call per product, and no height test, since the
+        class fixes the product's height.  Raises NotClosedError as
+        :meth:`products` does."""
+        get, a = self._index.get, self._vectors[i]
+        row = []
+        for t in tables:
+            k = get(a.translate(t))
+            if k is None and len(row) != zero:
+                raise self._not_closed(i, reps[len(row)])
+            row.append(k)
+        if zero is not None:
+            row[zero] = self.zero_index
         return row
 
     def class_rows(self) -> list[tuple[array, list[array], array]]:
@@ -156,22 +182,26 @@ class SemigroupTable:
         a*b depends on b only through b restricted to Im a, so the columns
         fall into the classes of ``pmap._restriction_groups``, found once per
         image: ``class_of[j]`` is the class of column j and ``members[c]``
-        the columns of class c.  ``composed[c]`` is u times every member of
-        class c, composed for its first member by :meth:`products`, which
-        checks closure and applies the Rees collapse.  Every column whose
-        product with u collapses lies in the zero's class, so a row composes
-        the zero once; composed as the empty map, the zero's row is one class.
+        the columns of class c, shared by the rows of that image.
+        ``composed[c]`` is u times every member of class c, composed for its
+        first member by :meth:`_row`, which checks closure; every column
+        whose product with u collapses lies in the zero's class.  The rows
+        are built one image at a time, holding the translate tables of that
+        image's representatives only.
         """
         if self._classes is None:
-            tables = self._translate_tables()
-            by_image: dict = {}
-            rows = []
-            for i, v in enumerate(self._vectors):
-                if (key := frozenset(v)) not in by_image:
-                    class_of, members = _restriction_groups(v, tables, self.collapse_below)
-                    by_image[key] = class_of, members, [m[0] for m in members]
-                class_of, members, reps = by_image[key]
-                rows.append((class_of, members, array("I", self.products(i, reps))))
+            vectors, cut = self._vectors, self.collapse_below
+            joined = b"".join(vectors)
+            by_image: dict = {}  # image -> its rows
+            for i, v in enumerate(vectors):
+                by_image.setdefault(frozenset(v), array("I")).append(i)
+            rows: list = [None] * len(vectors)
+            for image_rows in by_image.values():
+                class_of, members, zero = _restriction_groups(vectors[image_rows[0]], joined, cut)
+                reps = [m[0] for m in members]
+                tables = [_table(vectors[j]) for j in reps]
+                for i in image_rows:
+                    rows[i] = class_of, members, array("I", self._row(i, reps, tables, zero))
             self._classes = rows
         return self._classes
 
@@ -194,12 +224,26 @@ class SemigroupTable:
 
     def left_cayley(self) -> list[array]:
         """left[x] holds the distinct g*x for the generators g in ``_gens``,
-        from one row of :meth:`products` per generator."""
+        built one column x at a time: x's vector, padded to a translate
+        table, composes the generators' vectors joined in one buffer in one
+        C call, and only the distinct products are looked up.  The right
+        graph, built first, has found every product of S*S in the table,
+        so the look-ups need no closure check."""
         if self._left is None:
-            self.right_cayley()  # chooses the generators
-            columns = range(len(self))
-            rows = [self.products(g, columns) for g in self._gens]
-            self._left = [array("I", set(column)) for column in zip(*rows)]
+            self.right_cayley()  # chooses the generators and checks closure
+            vectors, index = self._vectors, self._index
+            cut, zi, width = self.collapse_below, self.zero_index, self.n + 1
+            joined = b"".join([vectors[g] for g in self._gens])
+            per_generator = [slice(k, k + width) for k in range(0, len(joined), width)]
+            pad = bytes(256 - width)
+            look, left = index.__getitem__, []
+            for v in vectors:
+                column = joined.translate(v + pad)
+                distinct = {column[s] for s in per_generator}
+                left.append(array("I", map(look, distinct) if cut is None else {
+                    zi if len(set(c)) <= cut else look(c) for c in distinct
+                }))
+            self._left = left
         return self._left
 
     def idempotent_indices(self) -> list[int]:
@@ -242,15 +286,16 @@ def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[array]]:
     size, cut, vectors = len(table), table.collapse_below, table._vectors
     heights = [len(set(v)) - 1 for v in vectors]
     order = sorted(range(size), key=lambda i: -heights[i])
-    tables = table._translate_tables()
     right = [array("I") for _ in range(size)]
     done = [0] * size  # how many of the generators each element has met
     reached = [False] * size
     gens: list[int] = []
+    tables: list[bytes] = []  # the generators' translate tables
     unreached = (i for i in order if not reached[i])
     pending = _generator_hint(table, heights) or list(islice(unreached, 1))
     while pending:
         gens += pending
+        tables += [_table(vectors[g]) for g in pending]
         for g in pending:
             reached[g] = True
         by_image: dict = {}  # (image, generators met) -> class representatives
@@ -259,12 +304,13 @@ def _right_cayley_graph(table: SemigroupTable) -> tuple[list[int], list[array]]:
         while work:
             x = work.pop()
             first, done[x] = done[x], len(gens)
-            reps = by_image.get(key := (frozenset(vectors[x]), first))
-            if reps is None:
-                lacked = gens[first:]
-                _, classes = _restriction_groups(vectors[x], [tables[g] for g in lacked], cut)
-                reps = by_image[key] = [lacked[c[0]] for c in classes]
-            row = table.products(x, reps)
+            group = by_image.get(key := (frozenset(vectors[x]), first))
+            if group is None:
+                lacked = b"".join([vectors[g] for g in gens[first:]])
+                _, classes, zero = _restriction_groups(vectors[x], lacked, cut)
+                reps = [gens[first + c[0]] for c in classes]
+                group = by_image[key] = reps, [tables[first + c[0]] for c in classes], zero
+            row = table._row(x, *group)
             if first:  # a later batch: drop what the earlier ones gave
                 row = [y for y in row if y not in right[x]]
             right[x].extend(row)
@@ -526,22 +572,20 @@ def starred_characterized(table: SemigroupTable, which: StarName) -> EqPartition
         raise ValueError(f"unknown starred relation {which!r}")
     quotient = table.collapse_below is not None
 
-    def lstar(a: PartialMap):
-        image = a.image()
-        return "aS = 0" if quotient and image[:1] == (1,) else image
+    def lstar(v: bytes):  # the image, read from the vector with 0
+        return "aS = 0" if quotient and 1 in v else frozenset(v)
 
-    def key(a):
-        if a is ZERO:
-            return ZERO
+    def key(v: bytes):
         if which == "Lstar":
-            return lstar(a)
+            return lstar(v)
         if which == "Rstar":
-            return a.kernel()
+            return kernel_vector(v)
         if which == "Hstar":
-            return lstar(a), a.kernel()
-        return a.height()
+            return lstar(v), kernel_vector(v)
+        return len(set(v)) - 1
 
-    return EqPartition.from_keys([key(a) for a in table.elements])
+    zi = table.zero_index
+    return EqPartition.from_keys([ZERO if i == zi else key(v) for i, v in enumerate(table._vectors)])
 
 
 # -- abundance -------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 __all__ = [
     "MAX_VECTOR_N",
@@ -259,21 +259,23 @@ def closure_vectors(generators: Iterable[PartialMap]) -> set[bytes]:
 
     x*g depends on g only through g restricted to Im x, so each reached map
     composes one generator per class of :func:`_restriction_groups`, found
-    once per image, keyed by ``frozenset(v)`` (the image and 0).
+    once per image, keyed by ``frozenset(v)`` (the image and 0).  Only the
+    generators' translate tables are kept.
     """
     gens = list(generators)
     if not gens:
         return set()
     ambient_size(gens)
     seen = {a.vector for a in gens}
-    tables = [_table(v) for v in seen]
-    by_image: dict[frozenset, list[bytes]] = {}
     work = list(seen)
+    joined = b"".join(work)
+    tables = [_table(v) for v in work]
+    by_image: dict[frozenset, list[bytes]] = {}
     while work:
         v = work.pop()
         reps = by_image.get(key := frozenset(v))
         if reps is None:
-            reps = by_image[key] = [tables[m[0]] for m in _restriction_groups(v, tables, None)[1]]
+            reps = by_image[key] = [tables[m[0]] for m in _restriction_groups(v, joined, None)[1]]
         for t in reps:
             c = v.translate(t)
             if c not in seen:
@@ -283,27 +285,44 @@ def closure_vectors(generators: Iterable[PartialMap]) -> set[bytes]:
 
 
 def _restriction_groups(
-    v: bytes, tables: Sequence[bytes], cut: int | None
-) -> tuple[array, list[array]]:
-    """Group right factors b, given by their translate tables (the empty
-    map's for a Rees zero), by b restricted to Im v: the class of each
-    factor, and each class's positions in ``tables``, classes in order of
-    their first factor.  The key ``v.translate(t_b)``, the vector of v*b,
-    determines that restriction, so distinct classes give every map of Im v
-    distinct products.  With ``cut``, a key of at most ``cut`` distinct bytes
-    (0 and b(Im v & Dom b), fixed by the class) joins the zero's class."""
+    v: bytes, factors: bytes, cut: int | None
+) -> tuple[array, list[array], int | None]:
+    """Group right factors b, given as one buffer of their vectors joined
+    (the empty map's for a Rees zero), by b restricted to Im v: the class of
+    each factor, each class's positions in the buffer, classes in order of
+    their first factor, and the zero's class, or None.
+
+    A factor's key is its values on {0} | Im v, read for all factors at once
+    from strided slices of the buffer and packed into 8-byte words.  Its
+    distinct values are those of the vector of v*b, so distinct classes give
+    every map of image Im v distinct products.  With ``cut``, a key of at
+    most ``cut`` distinct values (0 and b(Im v & Dom b), fixed by the class)
+    joins the zero's class.
+    """
+    size = len(v)
+    points = sorted(set(v))  # 0 and Im v
+    width = -(-len(points) // 8) * 8  # bytes per key, whole words
+    packed = bytearray(len(factors) // size * width)
+    for t, d in enumerate(points):
+        packed[t::width] = factors[d::size]
+    flat = memoryview(packed).cast("Q")
+    words = width // 8
+    keys = flat.tolist() if words == 1 else list(zip(*[flat[t::words] for t in range(words)]))
     ids: dict = {}  # key -> class; None keys the zero's class
     class_of = array("I")
     members: list[array] = []
-    for j, key in enumerate(map(v.translate, tables)):
+    zero = None
+    for j, key in enumerate(keys):
         if (c := ids.get(key)) is None:
-            zero = cut is not None and len(set(key)) <= cut
-            c = ids[key] = ids.setdefault(None, len(members)) if zero else len(members)
+            if cut is not None and len(set(packed[j * width:(j + 1) * width])) <= cut:
+                c = ids[key] = zero = ids.setdefault(None, len(members))
+            else:
+                c = ids[key] = len(members)
             if c == len(members):
                 members.append(array("I"))
         members[c].append(j)
         class_of.append(c)
-    return class_of, members
+    return class_of, members, zero
 
 
 def member_ss_prime(a: PartialMap) -> bool:

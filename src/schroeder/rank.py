@@ -237,7 +237,7 @@ def rank_layered(
         if not lo or target == "quotient":
             return result, table
         if result.certified and table.zero_index not in result.generating_set:
-            gens = [table.elements[i] for i in result.generating_set]
+            gens = [table.element(i) for i in result.generating_set]
             if len(closure_vectors(gens)) == sum(height_counts(n)[: top + 1]):
                 return result, table
         lo -= 1

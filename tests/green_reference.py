@@ -1,12 +1,12 @@
 """References for the tests of ``schroeder.green``: the Cayley graphs with
 one successor per generator, binary relations on a table's element indices,
-composed pair by pair, to check D* = L* o R* o L*, and the regular elements
-read off the L-classes."""
+composed pair by pair, to check D* = L* o R* o L*, the regular elements
+read off the L-classes, and every target and layer table of SS'(n)."""
 
 from itertools import islice
 
 from schroeder import ZERO, EqPartition, SemigroupTable, green
-from schroeder.green import _generator_hint
+from schroeder.green import _generator_hint, target_table
 
 
 def right_cayley_reference(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
@@ -99,3 +99,13 @@ def regular_indices(table: SemigroupTable) -> list[int]:
     class_id = green(table, "L").class_id
     with_idempotent = {class_id[e] for e in table.idempotent_indices()}
     return [i for i in range(len(table)) if class_id[i] in with_idempotent]
+
+
+def target_and_layer_tables(n):
+    """Every target table of SS'(n), and every layer of each, as in
+    ``rank_layered``: (label, table)."""
+    for target, ps in [("ss-prime", [None]), ("ideal", range(1, n)), ("quotient", range(1, n))]:
+        for p in ps:
+            top = n - 1 if p is None else p
+            for lo in range(p if target == "quotient" else 0, top + 1):
+                yield f"{target} p={p} lo={lo}", target_table(n, target, p, lo)

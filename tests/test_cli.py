@@ -526,6 +526,25 @@ def test_rank_of_non_closed_set_is_verification_failure(capsys, monkeypatch):
     assert "not closed under composition" in err
 
 
+@pytest.mark.parametrize("target, p", [("quotient", 3), ("ideal", 3)])
+def test_rank_json_wraps_only_its_generating_set(capsys, monkeypatch, target, p):
+    """``rank`` wraps in a map only the generators it prints (and closes),
+    not the table's elements."""
+    green_module = importlib.import_module("schroeder.green")
+    wrap, wrapped = green_module._wrap, []
+
+    def recorded(v):
+        wrapped.append(v)
+        return wrap(v)
+
+    monkeypatch.setattr(green_module, "_wrap", recorded)
+    code, out, _ = run(capsys, "rank", "--target", target, "--n", "6", "--p", str(p),
+                       "--format", "json")
+    assert code == 0
+    gens = {schroeder.pmap.parse(a, 6).vector for a in json.loads(out)["generating_set"]}
+    assert set(wrapped) == gens
+
+
 def test_rank_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "rank", "--n", "4", "--format", "json")
     _, out2, _ = run(capsys, "rank", "--n", "4", "--format", "json")

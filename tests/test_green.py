@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import pytest
 from green_reference import (
@@ -142,6 +143,40 @@ def test_cayley_graphs_match_one_successor_per_generator(make):
         assert set(left[x]) == set(ref._left[x]), x
     for which in "LRHDJ":
         assert green(t, which) == green(ref, which), which
+
+
+def test_left_graph_holds_no_block_of_generator_rows():
+    """Above the built right graph, the left graph's traced peak stays
+    below |A| x |S| pointers, the rows of products one per generator would
+    hold, on ideal (8,4): 18,377 elements and 244 generators."""
+    t = target_table(8, "ideal", 4)
+    t.right_cayley()
+    block = len(t._gens) * len(t) * 8
+    assert (len(t), len(t._gens)) == (18377, 244)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        t.left_cayley()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < block, (peak, block)
+
+
+def test_tables_graphs_and_the_oracle_wrap_no_map(monkeypatch):
+    """A table, its rank oracle and its Cayley graphs read only byte
+    vectors: none wraps a vector in a map."""
+    green_module = importlib.import_module("schroeder.green")
+    rank_module = importlib.import_module("schroeder.rank")
+
+    def refuse(v):
+        raise AssertionError(f"wrapped {v!r}")
+
+    monkeypatch.setattr(green_module, "_wrap", refuse)
+    for target, p in [("ss-prime", None), ("ideal", 3), ("quotient", 3)]:
+        t = target_table(6, target, p)
+        assert rank_module.rank_oracle(t).certified
+        green(t, "D")
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,10 @@ import pickle
 import random
 
 import pytest
+from green_reference import target_and_layer_tables
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pmap_reference import all_partial_maps, compose_reference
+from pmap_reference import all_partial_maps, compose_reference, restriction_groups_reference
 
 from schroeder import (
     Family,
@@ -24,8 +25,9 @@ from schroeder import (
     requisite,
     requisite_from_image,
     shift_embed,
+    ss_prime_minimal_generators,
 )
-from schroeder.pmap import MAX_VECTOR_N, kernel_vector
+from schroeder.pmap import MAX_VECTOR_N, _restriction_groups, closure_vectors, kernel_vector
 
 
 def test_construction_and_views():
@@ -364,3 +366,66 @@ def test_is_requisite_exactly_the_requisite_shapes():
             for tail in itertools.combinations(range(i + 1, n + 1), r)
         }
         assert {a for a in all_partial_maps(n) if is_requisite(a)} == shapes
+
+
+def assert_groups_match_reference(v, vectors, cut):
+    """``_restriction_groups`` over the joined vectors against the
+    translate-keyed reference over their tables: the same class of every
+    factor, the same members, and the zero's class that of the factors
+    whose products collapse."""
+    tables = [u + bytes(256 - len(u)) for u in vectors]
+    class_of, members, zero = _restriction_groups(v, b"".join(vectors), cut)
+    want_class_of, want_members = restriction_groups_reference(v, tables, cut)
+    assert class_of == want_class_of and members == want_members, (v, cut)
+    collapsed = [c for c, t in zip(want_class_of, tables)
+                 if cut is not None and len(set(v.translate(t))) <= cut]
+    assert zero == (collapsed[0] if collapsed else None), (v, cut)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_restriction_groups_match_the_translate_keyed_reference_on_tables(n):
+    """Every image of every target and layer table of SS'(n), the zero's
+    included, grouping all the table's vectors under every Rees cut."""
+    for _, t in target_and_layer_tables(n):
+        images = {frozenset(v): v for v in t._vectors}
+        for v in images.values():
+            for cut in [None, *range(1, n)]:
+                assert_groups_match_reference(v, t._vectors, cut)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_restriction_groups_match_the_reference_on_closed_generators(ss, n):
+    """The generator sets that ``closure_vectors`` groups, over every image
+    of their closure: the minimum generators, the top height, the
+    idempotents and the idempotents with the requisites of SS'(n), and
+    drawn sets of any partial maps at n <= 4."""
+    idems = [a for a in ss(n) if a.is_idempotent()]
+    reqs = [a for a in ss(n) if is_requisite(a)]
+    sets = [ss_prime_minimal_generators(n), [a for a in ss(n) if a.height() == n - 1],
+            idems, idems + reqs]
+    if n <= 4:
+        rng = random.Random(n)
+        maps = list(all_partial_maps(n))
+        sets += [rng.choices(maps, k=rng.randint(1, 6)) for _ in range(20)]
+    for gens in sets:
+        vectors = list({a.vector for a in gens})
+        images = {frozenset(v): v for v in closure_vectors(gens)}
+        for v in images.values():
+            assert_groups_match_reference(v, vectors, None)
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 40, 255])
+def test_restriction_groups_match_the_reference_on_keys_of_several_words(n):
+    """Images of 7 to 255 points pack each key into one to 32 words; drawn
+    factors take few distinct values, so that many share a class, and some
+    are undefined on most of the image, so that some collapse."""
+    rng = random.Random(n)
+    for _ in range(5):
+        v = bytes([0] + [rng.choice([0, *range(1, n + 1)]) for _ in range(n)])
+        vectors = []
+        for _ in range(60):
+            values = rng.sample(range(n + 1), 3)
+            vectors.append(bytes([0] + [rng.choice(values) for _ in range(n)]))
+        vectors += rng.choices(vectors, k=20)
+        for cut in (None, 1, 2, 3, n):
+            assert_groups_match_reference(v, vectors, cut)

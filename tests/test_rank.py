@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import pytest
+from green_reference import target_and_layer_tables
 from pmap_reference import all_partial_maps, compose_reference
 
 from schroeder import (
@@ -278,16 +279,6 @@ def test_zero_composes_as_the_empty_map(table, n, p):
     assert t.products(zi, columns) == [zi] * len(t)
 
 
-def _target_and_layer_tables(n):
-    """Every target table of SS'(n), and every layer of each, as in
-    ``rank_layered``: (label, table)."""
-    for target, ps in [("ss-prime", [None]), ("ideal", range(1, n)), ("quotient", range(1, n))]:
-        for p in ps:
-            top = n - 1 if p is None else p
-            for lo in range(p if target == "quotient" else 0, top + 1):
-                yield f"{target} p={p} lo={lo}", target_table(n, target, p, lo)
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 def test_generating_essentials_leave_no_constraint(n):
     """When the essentials E generate, every element outside E has a
@@ -295,7 +286,7 @@ def test_generating_essentials_leave_no_constraint(n):
     no factor constraint avoids E and the oracle's candidate is E itself,
     on every target and layer table of SS'(n)."""
     generating = 0
-    for label, t in _target_and_layer_tables(n):
+    for label, t in target_and_layer_tables(n):
         essential = essential_elements(t)
         if len(closure_indices(t, essential)) == len(t):
             generating += 1
@@ -310,7 +301,7 @@ def test_packing_picks_match_the_frozenset_reference(n):
     """The packing over shared member arrays picks, in order, the least
     member of each constraint that the greedy packing of frozensets packs,
     on every target and layer table of SS'(n)."""
-    for label, t in _target_and_layer_tables(n):
+    for label, t in target_and_layer_tables(n):
         essential = essential_elements(t)
         constraints = _factor_constraints(t, essential)
         reference = factor_constraint_sets(t, essential)

@@ -113,7 +113,7 @@ def test_semigroup_table_is_weakly_referenceable():
     t = target_table(3, "ss-prime")
     ref = weakref.ref(t)
     assert ref() is t
-    assert t._tables is t._classes is t._rows is t._gens is t._right is t._left is None
+    assert t._elements is t._classes is t._rows is t._gens is t._right is t._left is None
     del t
     assert ref() is None
 
