@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NotClosedError as exc:
-        # a set checked lazily (``verify=False``) turned out not closed
+        # an unverified table (``target_table``, ``verify=False``) was not closed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:

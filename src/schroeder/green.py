@@ -366,6 +366,8 @@ def target_table(n: int, target: str, p: int | None = None, lo: int | None = Non
     if n < 1:
         raise ValueError(f"a target table needs n >= 1, got n={n}")
     if target == "ss-prime":
+        if p is not None:
+            raise ValueError(f"target 'ss-prime' takes no height p (--p), got p={p}")
         top = n - 1
     elif p is None:
         raise ValueError(f"target {target!r} needs a height p (--p)")
@@ -391,17 +393,15 @@ class EqPartition(Record):
 
     @classmethod
     def from_keys(cls, keys: Sequence) -> "EqPartition":
-        """Group indices by arbitrary hashable keys; classes ordered by
-        their smallest member."""
-        groups: dict = {}
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        classes = sorted(groups.values())
-        cid = [0] * len(keys)
-        for c, members in enumerate(classes):
-            for i in members:
-                cid[i] = c
-        return cls(tuple(cid), tuple(tuple(m) for m in classes))
+        """Group indices by arbitrary hashable keys; each key is numbered
+        the first time it is seen, so classes come in order of their
+        smallest member."""
+        ids: dict = {}
+        cid = [ids.setdefault(key, len(ids)) for key in keys]
+        classes: list = [[] for _ in ids]
+        for i, c in enumerate(cid):
+            classes[c].append(i)
+        return cls(tuple(cid), tuple(map(tuple, classes)))
 
     def num_classes(self) -> int:
         return len(self.classes)
@@ -430,54 +430,53 @@ class EqPartition(Record):
 
 
 def _scc_partition(size: int, successors) -> EqPartition:
-    """Tarjan SCC (iterative) over the digraph given by a successor
-    function; mutual reachability classes become the partition."""
-    index_of = [-1] * size
-    low = [0] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    comp = [-1] * size
-    counter = 0
-    ncomp = 0
+    """The strongly connected components of the digraph given by a
+    successor function, as a partition: Tarjan's search, iterative, in
+    Pearce's variant with one array.  ``rindex[v]`` is 0 until v is
+    visited; while v's component is open, the least open visit index that
+    v reaches; once it closes, the component's number, counted down from
+    size-1.  Open indices are reused and stay below every closed number, so
+    a closed successor lowers nothing; number 0 goes only to the last vertex
+    closed when all are singletons, and no search reads it.  Each frame
+    keeps its low in a local."""
+    rindex = [0] * size
+    closing: list[int] = []  # visited, not a root, component still open
+    index, number = 1, size - 1
     for root in range(size):
-        if index_of[root] != -1:
+        if rindex[root]:
             continue
-        work = [(root, iter(successors(root)))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
+        rindex[root] = low = index
+        index += 1
+        v, it, work = root, iter(successors(root)), []
+        while True:
             for w in it:
-                if index_of[w] == -1:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(successors(w))))
-                    advanced = True
+                r = rindex[w]
+                if not r:
+                    work.append((v, it, low))
+                    rindex[w] = low = index
+                    index += 1
+                    v, it = w, iter(successors(w))
                     break
-                elif on_stack[w]:
-                    if index_of[w] < low[v]:
-                        low[v] = index_of[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index_of[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return EqPartition.from_keys(comp)
+                if r < low:
+                    low = r
+            else:  # v is finished
+                if low < rindex[v]:
+                    rindex[v] = low
+                    closing.append(v)
+                else:  # v is the root of its component
+                    while closing and rindex[closing[-1]] >= low:
+                        rindex[closing.pop()] = number
+                        index -= 1
+                    rindex[v] = number
+                    number -= 1
+                    index -= 1
+                if not work:
+                    break
+                r = rindex[v]
+                v, it, low = work.pop()
+                if r < low:
+                    low = r
+    return EqPartition.from_keys(rindex)
 
 
 def green(table: SemigroupTable, which: GreenName) -> EqPartition:
@@ -621,11 +620,7 @@ def abundance_report(table: SemigroupTable) -> AbundanceReport:
     rstar = starred_characterized(table, "Rstar")
     lstar = starred_characterized(table, "Lstar")
     rcounts = tuple(sum(1 for i in cls_ if i in idem) for cls_ in rstar.classes)
-    witness = None
-    for cls_ in lstar.classes:
-        if not any(i in idem for i in cls_):
-            witness = cls_
-            break
+    witness = next((c for c in lstar.classes if not any(i in idem for i in c)), None)
     return AbundanceReport(
         right_abundant=all(c >= 1 for c in rcounts),
         left_abundant=witness is None,

@@ -1,7 +1,9 @@
 """References for the tests of ``schroeder.green``: the Cayley graphs with
-one successor per generator, binary relations on a table's element indices,
-composed pair by pair, to check D* = L* o R* o L*, the regular elements
-read off the L-classes, and every target and layer table of SS'(n)."""
+one successor per generator, grouping by keys with a sort, strongly
+connected components by a search from every node, binary relations on a
+table's element indices, composed pair by pair, to check D* = L* o R* o L*,
+the regular elements read off the L-classes, and every target and layer
+table of SS'(n)."""
 
 from itertools import islice
 
@@ -49,6 +51,38 @@ def left_cayley_reference(table: SemigroupTable, gens: list[int]) -> list[tuple[
     """left[x] lists g*x for every g in ``gens``, in their order."""
     columns = range(len(table))
     return list(zip(*(table.products(g, columns) for g in gens)))
+
+
+def partition_reference(keys) -> EqPartition:
+    """Indices grouped by key, the groups sorted, and each index given the
+    position of its group."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    classes = sorted(groups.values())
+    cid = [0] * len(keys)
+    for c, members in enumerate(classes):
+        for i in members:
+            cid[i] = c
+    return EqPartition(tuple(cid), tuple(tuple(m) for m in classes))
+
+
+def scc_reference(size: int, successors) -> EqPartition:
+    """The strongly connected components of a digraph: the nodes reachable
+    from each node by a search of its own, and u, v together when each
+    reaches the other."""
+    reach = []
+    for source in range(size):
+        seen, todo = {source}, [source]
+        while todo:
+            for w in successors(todo.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return partition_reference(
+        [frozenset(v for v in reach[u] if u in reach[v]) for u in range(size)]
+    )
 
 
 class BinRelation:

@@ -383,6 +383,20 @@ def test_height_out_of_range_is_usage_error(capsys, argv):
     assert "1 <= p <= n-1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rank", "--n", "5", "--p", "2"),
+    ("rank", "--n", "5", "--p", "2", "--format", "json"),
+    ("green", "--relation", "L", "--n", "5", "--p", "3"),
+])
+def test_height_on_ss_prime_is_usage_error(capsys, argv):
+    """SS'(n) takes no height: --p was silently ignored there, so rank
+    printed SS'(5)'s rank under "p": 2 and green its classes."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "takes no height p (--p)" in err and f"p={argv[argv.index('--p') + 1]}" in err
+
+
 def test_green_verbose_classes(capsys):
     code, out, _ = run(capsys, "green", "--n", "2", "--relation", "Lstar",
                        "--verbose")

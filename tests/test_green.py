@@ -1,14 +1,19 @@
 import importlib
+import random
 import tracemalloc
+from array import array
+from itertools import chain
 
 import pytest
 from green_reference import (
     compose_relations,
     left_cayley_reference,
     partition_as_relation,
+    partition_reference,
     regular_indices,
     relations_equal,
     right_cayley_reference,
+    scc_reference,
 )
 from pmap_reference import all_partial_maps, compose_reference
 
@@ -266,6 +271,61 @@ def test_build_table_rejects_a_collapse_below_height_1():
 def test_target_table_needs_a_point(n):
     with pytest.raises(ValueError, match=f"n={n}"):
         target_table(n, "ss-prime")
+
+
+def _random_digraph(rng, size):
+    """Successor lists with self-loops, repeated successors and, at low
+    edge counts, isolated nodes."""
+    successors = [[] for _ in range(size)]
+    for _ in range(rng.randrange(3 * size + 1)):
+        successors[rng.randrange(size)].append(rng.randrange(size))
+    return successors
+
+
+# the shapes the relations give: L/R rows, D's step pairs, J's chained rows
+SUCCESSOR_SHAPES = {
+    "list": lambda lists: lists.__getitem__,
+    "array": lambda lists: [array("I", s) for s in lists].__getitem__,
+    "tuple": lambda lists: [tuple(s) for s in lists].__getitem__,
+    "chain": lambda lists: lambda v: chain(lists[v][::2], lists[v][1::2]),
+}
+
+
+@pytest.mark.parametrize("shape", SUCCESSOR_SHAPES)
+def test_scc_matches_reference_on_random_digraphs(shape):
+    rng = random.Random(f"scc-{shape}")
+    for _ in range(400):
+        lists = _random_digraph(rng, rng.randint(1, 30))
+        got = _scc_partition(len(lists), SUCCESSOR_SHAPES[shape](lists))
+        assert got == scc_reference(len(lists), lists.__getitem__), lists
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle"])
+def test_scc_needs_no_recursion(cycle):
+    """A path 100,000 nodes deep, far past the interpreter's recursion
+    limit: every node alone, or all in one class when the path closes."""
+    size = 100_000
+    part = _scc_partition(size, lambda v: (v + 1,) if v + 1 < size else (0,) * cycle)
+    if cycle:
+        assert part.classes == (tuple(range(size)),)
+    else:
+        assert part.is_identity() and part.class_id == tuple(range(size))
+
+
+def test_from_keys_numbers_classes_by_smallest_member():
+    """Keys first seen out of their own order: the classes still come by
+    smallest member, as a sort of the groups puts them."""
+    keys = [7, "b", 7, 3, "b", 0, 3, 7, ("x",), 0]
+    got = EqPartition.from_keys(keys)
+    want = partition_reference(keys)
+    assert got.class_id == want.class_id == (0, 1, 0, 2, 1, 3, 2, 0, 4, 3)
+    assert got.classes == want.classes
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_target_table_of_ss_prime_takes_no_height(p):
+    with pytest.raises(ValueError, match=f"takes no height p .*p={p}"):
+        target_table(5, "ss-prime", p)
 
 
 @pytest.mark.parametrize("which", "LRJ")

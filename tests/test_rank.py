@@ -393,6 +393,11 @@ def test_layered_rank_steps_down_to_height_n_minus_2(n):
         assert result.certified and result.rank == 3 * n - 4
 
 
+def test_layered_rank_of_ss_prime_takes_no_height():
+    with pytest.raises(ValueError, match="takes no height p"):
+        rank_layered(5, "ss-prime", 2)
+
+
 def test_layered_rank_falls_back_to_the_whole_target(table, monkeypatch):
     """When no layer's generating set closes to the target, lo steps down
     to 0 and the whole target's oracle decides."""
