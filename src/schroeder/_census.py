@@ -51,7 +51,7 @@ def suffix_keys(n: int, m: int) -> tuple[Counter, Counter, set[tuple[bytes, int]
         return bytes.maketrans(bytes(values), _RANKS[:len(values)]), u, sum(0 < w < m for w in values) < 2
 
     per_image = PerImage(info)
-    for _, vecs in _blocks(n, tuple(range(m, n + 1)), 0, n):
+    for _, vecs in _blocks(n, tuple(range(m, n + 1)), 0, n, codes=False):
         infos = per_image.of(vecs)
         us = list(map(_value, infos))
         count.update(us)

@@ -9,11 +9,13 @@ the guard of verify-all is fixed).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import time
 
+# what parsing and the census commands need; each other command imports its
+# own layer (green, rank) and json or csv only where it writes that format,
+# since every command is a short process that compiles what it imports when
+# no bytecode is written
 from .families import (
     Family,
     FamilySpec,
@@ -27,22 +29,7 @@ from .families import (
     schroeder_small,
     ss_prime_minimal_generators,
 )
-from .green import (
-    NotClosedError,
-    abundance_report,
-    green,
-    starred_characterized,
-    starred_definitional,
-    target_table,
-)
 from .pmap import closure
-from .rank import (
-    formula_rank_ideal,
-    formula_rank_quotient,
-    rank_layered,
-    verify_ss1_witnesses,
-    verify_theorem_hq,
-)
 
 # characterized starred relations group what they enumerate: on a 2-vCPU VM
 # L* at n=11 takes 8.9 s and 849 MB, and n=12 holds about 5x the maps
@@ -108,6 +95,8 @@ def cmd_enumerate(args) -> int:
             if codes:
                 out.write("\n".join(codes) + "\n")
     elif args.format == "json":
+        import json
+
         # the document json.dumps would print, written piecewise: a code
         # holds only digits and ":,-", which JSON quotes as they are
         head = json.dumps({"family": args.family, "n": args.n, "p": args.p, "elements": []})
@@ -119,6 +108,8 @@ def cmd_enumerate(args) -> int:
                 sep = ", "
         out.write("]}\n")
     else:
+        import csv
+
         writer = csv.writer(out)
         writer.writerow(["element", "height"])
         # the height is the number of distinct nonzero bytes of the vector
@@ -164,8 +155,12 @@ def _invariant_rows(n: int):
 
 def _emit_rows(rows, n: int, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps({"n": n, "rows": rows}))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["name", "formula_value", "oracle_value", "status", "runtime_ms"])
         for r in rows:
@@ -191,6 +186,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_green(args) -> int:
+    from .green import green, starred_characterized, starred_definitional, target_table
+
     classical = args.relation in ("L", "R", "H", "D", "J")
     if args.mode == "definitional" and args.relation not in ("Lstar", "Rstar"):
         return _fail_usage("definitional mode exists only for Lstar and Rstar")
@@ -225,6 +222,8 @@ def cmd_green(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .rank import formula_rank_ideal, formula_rank_quotient, rank_layered
+
     if args.n < 2:
         return _fail_usage(f"rank needs n >= 2 (3n-4 holds for n >= 2 only), got n={args.n}")
     default = RANK_GUARD if args.target == "ss-prime" else RANK_QUOTIENT_GUARD
@@ -261,8 +260,13 @@ def cmd_rank(args) -> int:
         "notes": result.notes,
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(payload))
     elif args.format == "csv":
+        import csv
+        import json
+
         writer = csv.writer(sys.stdout)
         writer.writerow(list(payload))
         writer.writerow([json.dumps(v) if isinstance(v, list) else v for v in payload.values()])
@@ -278,6 +282,15 @@ def cmd_rank(args) -> int:
 
 
 def _verify_rows(n_max: int, long: bool):
+    from .green import abundance_report, green, starred_characterized, starred_definitional, target_table
+    from .rank import (
+        formula_rank_ideal,
+        formula_rank_quotient,
+        rank_layered,
+        verify_ss1_witnesses,
+        verify_theorem_hq,
+    )
+
     rows = []
 
     def add(name: str, check) -> None:
@@ -372,6 +385,8 @@ def cmd_verify_all(args) -> int:
         return _fail_guard(f"verify-all guarded at n-max = {VERIFY_ALL_GUARD}")
     rows = _verify_rows(args.n_max, args.long)
     if args.format == "json":
+        import json
+
         print(json.dumps({"n_max": args.n_max, "rows": rows}))
     else:
         width = max(len(r["name"]) for r in rows)
@@ -448,11 +463,14 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotClosedError as exc:
-        # an unverified table (``target_table``, ``verify=False``) was not closed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except ValueError as exc:
+        # a NotClosedError: an unverified table (``target_table``,
+        # ``verify=False``) was not closed; only a command that loaded green
+        # builds one
+        green = sys.modules.get(f"{__package__}.green")
+        if green is not None and isinstance(exc, green.NotClosedError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
         return _fail_usage(str(exc))
 
 

@@ -12,11 +12,12 @@ prefix before them, so it lists a family in canonical text order (that of
 The prefixes before the middle point are walked one by one; below them,
 each subtree is built once as a table of code suffixes and vector tails and
 emitted behind every prefix that reaches it, so the scan yields blocks,
-pairs of parallel lists of codes and vectors, or of codes alone for a
-caller that reads no vector, and every reader takes them as blocks:
-``family_blocks`` reads a family, ``_height_blocks`` scans SS'(n) between
-two heights, the band every target table of ``green`` is made from, and
-``enumerate_family`` lists the maps, wrapping each scanned vector unchecked.
+pairs of parallel lists of codes and vectors, or of one kind alone for a
+caller that reads only that kind, and every reader takes them as blocks:
+``family_blocks`` reads a family, ``_height_blocks`` scans the vectors of
+SS'(n) between two heights, the band every target table of ``green`` is
+made from, and ``enumerate_family`` lists the maps, wrapping each scanned
+vector unchecked.
 
 ``census`` and ``count_idempotents`` make no vector of SS'(n): they split
 every map at a point m into a prefix, a member of SS'(m-1), and a suffix on
@@ -94,7 +95,9 @@ _WALKED_CODE = [""]
 _WALKED_VECTOR = [b""]
 
 
-def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = True) -> Iterator[tuple[list[str], list[bytes] | None]]:
+def _blocks(
+    n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = True, codes: bool = True
+) -> Iterator[tuple[list[str] | None, list[bytes] | None]]:
     """The code and byte vector of every isotone order-decreasing map of
     {1..n} whose domain lies in the pool and whose height lies in lo..hi,
     in canonical text order, as blocks: pairs of parallel lists of codes
@@ -121,7 +124,7 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
     gathered into blocks of at least _BLOCK maps, so that narrow bands,
     whose subtrees hold a few maps each, do not pay per subtree.  Without
     ``vectors`` no vector or tail is built, and each block carries None for
-    its vectors.
+    its vectors; without ``codes``, likewise, no code or suffix.
     """
     points = sorted(pool, key=lambda d: f"{d}:")
     mid = n - n // 2 + 1
@@ -130,7 +133,8 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
     # the children of a node by its (last point, last value), in text order,
     # each with its token, point, value, the height it adds, its room, and
     # its vector from its point on: to the end for a walked node, its value
-    # alone for a node whose subtree is a table, empty without vectors
+    # alone for a node whose subtree is a table; the token is empty without
+    # codes, the vector without vectors
     kids: dict[tuple[int, int], list] = {(0, 0): []}
     kids.update({(d, v): [] for d in pool for v in range(1, d + 1)})
     for (last, val), children in kids.items():
@@ -139,7 +143,7 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
                 for v in sorted(range(max(val, 1), d + 1), key=str):
                     tok = f",{d}:{v}" if last else f"{d}:{v}"
                     tail = bytes((v,)) + bytes(n - d) if d < mid else bytes((v,))
-                    children.append((tok, d, v, v > val, room[d], tail if vectors else b""))
+                    children.append((tok if codes else "", d, v, v > val, room[d], tail if vectors else b""))
     # reversed, so that the stack pops them in text order
     walk = {key: children[::-1] for key, children in kids.items() if key[0] < mid}
     tables: dict[tuple[int, int, int, int], tuple[list[str], list[bytes]]] = {}
@@ -150,14 +154,16 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
         a..b to its height, in pre-order."""
         table = tables.get((d, v, a, b))
         if table is None:
-            sfx, tails = ([""], [bytes(n - d)]) if a == 0 else ([], [])
+            sfx = [""] if codes and a == 0 else []
+            tails = [bytes(n - d)] if vectors and a == 0 else []
             for tok, e, w, up, r, _ in kids[d, v]:
                 if up <= b and a - up <= r:
-                    codes, vecs = subtree(e, w, max(a - up, 0), min(b - up, r))
-                    sfx += [tok + s for s in codes]
+                    below_sfx, below_tails = subtree(e, w, max(a - up, 0), min(b - up, r))
+                    if codes:
+                        sfx += [tok + s for s in below_sfx]
                     if vectors:
                         head = bytes(e - d - 1) + bytes((w,))
-                        tails += [head + t for t in vecs]
+                        tails += [head + t for t in below_tails]
             table = tables[d, v, a, b] = sfx, tails
         return table
 
@@ -167,9 +173,11 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
     bodies: list[tuple[bytes, list[bytes]]] = []
     size = 0
 
-    def block() -> tuple[list[str], list[bytes] | None]:
-        codes = [c + s for c, sfx in heads for s in sfx]
-        return codes, [b + t for b, tails in bodies for t in tails] if vectors else None
+    def block() -> tuple[list[str] | None, list[bytes] | None]:
+        return (
+            [c + s for c, sfx in heads for s in sfx] if codes else None,
+            [b + t for b, tails in bodies for t in tails] if vectors else None,
+        )
 
     # a table node's table by its (point, value, height): the band is fixed
     at: dict[tuple[int, int, int], tuple[list[str], list[bytes]]] = {}
@@ -183,7 +191,7 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
                 table = at[d, v, h] = subtree(d, v, max(lo - h, 0), min(hi - h, room[d]))
             heads.append((code, table[0]))
             bodies.append((vec, table[1]))
-            size += len(table[0])
+            size += len(table[0] if codes else table[1])
             if size >= _BLOCK:
                 yield block()
                 heads.clear()
@@ -201,29 +209,36 @@ def _blocks(n: int, pool: tuple[int, ...], lo: int, hi: int, vectors: bool = Tru
         yield block()
 
 
-def _height_blocks(n: int, lo: int, hi: int) -> Iterator[tuple[list[str], list[bytes]]]:
-    """The members of SS'(n) of height lo..hi, as blocks."""
-    return _blocks(n, tuple(range(2, n + 1)), lo, hi)
+def _height_blocks(n: int, lo: int, hi: int) -> Iterator[tuple[None, list[bytes]]]:
+    """The members of SS'(n) of height lo..hi, as blocks of vectors alone,
+    which is all that their readers, the target tables and the census's
+    prefixes, take: each block carries None for its codes."""
+    return _blocks(n, tuple(range(2, n + 1)), lo, hi, codes=False)
 
 
-def _idempotent_blocks(n: int, lo: int, hi: int) -> Iterator[tuple[list[str], list[bytes]]]:
+def _kept(codes: list[str] | None, vecs: list[bytes], keep: list) -> tuple[list[str] | None, list[bytes]]:
+    """The members of a block that ``keep`` marks, as a block."""
+    return None if codes is None else list(itertools.compress(codes, keep)), list(itertools.compress(vecs, keep))
+
+
+def _idempotent_blocks(n: int, lo: int, hi: int, codes: bool = True) -> Iterator[tuple[list[str] | None, list[bytes]]]:
     """The members of SS'(n) of height lo..hi that are idempotent, as
     blocks: each scanned vector, padded to a ``bytes.translate`` table, is
     squared once."""
     pad = bytes(255 - n)
-    for codes, vecs in _height_blocks(n, lo, hi):
-        keep = [v.translate(v + pad) == v for v in vecs]
-        yield list(itertools.compress(codes, keep)), list(itertools.compress(vecs, keep))
+    for block_codes, vecs in _blocks(n, tuple(range(2, n + 1)), lo, hi, codes=codes):
+        yield _kept(block_codes, vecs, [v.translate(v + pad) == v for v in vecs])
 
 
-def _ss_blocks(n: int) -> Iterator[tuple[list[str], list[bytes]]]:
+def _ss_blocks(n: int, codes: bool = True) -> Iterator[tuple[list[str] | None, list[bytes]]]:
     """The members of LS(n) with 1 in their domain, as blocks."""
-    for codes, vecs in _blocks(n, tuple(range(1, n + 1)), 0, n):
-        keep = [v[1] for v in vecs]
-        yield list(itertools.compress(codes, keep)), list(itertools.compress(vecs, keep))
+    for block_codes, vecs in _blocks(n, tuple(range(1, n + 1)), 0, n, codes=codes):
+        yield _kept(block_codes, vecs, [v[1] for v in vecs])
 
 
-def family_blocks(spec: FamilySpec, vectors: bool = True) -> Iterator[tuple[list[str], list[bytes] | None]]:
+def family_blocks(
+    spec: FamilySpec, vectors: bool = True, codes: bool = True
+) -> Iterator[tuple[list[str] | None, list[bytes] | None]]:
     """The members of the family as blocks, pairs of parallel lists of
     canonical codes and byte vectors that end to end list the family in
     canonical text order; a block may be empty.  Each block is made as the
@@ -231,21 +246,22 @@ def family_blocks(spec: FamilySpec, vectors: bool = True) -> Iterator[tuple[list
     C(n-1,p-1) of them, are made first and sorted into one block.  Without
     ``vectors``, for a caller that reads the codes alone, a family that
     needs no vector to choose its members may carry None for the vectors
-    of a block."""
+    of a block; without ``codes``, for a caller that reads the vectors
+    alone, any family but the requisites carries None for its codes."""
     n, p, kind = spec.n, spec.p, spec.kind
     ss_prime = tuple(range(2, n + 1))
     if kind is Family.SS_PRIME:
-        return _blocks(n, ss_prime, 0, n - 1, vectors)
+        return _blocks(n, ss_prime, 0, n - 1, vectors, codes)
     if kind is Family.LS:
-        return _blocks(n, tuple(range(1, n + 1)), 0, n, vectors)
+        return _blocks(n, tuple(range(1, n + 1)), 0, n, vectors, codes)
     if kind is Family.SS:
-        return _ss_blocks(n)
+        return _ss_blocks(n, codes)
     if kind is Family.IDEAL_K:
-        return _blocks(n, ss_prime, 0, p, vectors)
+        return _blocks(n, ss_prime, 0, p, vectors, codes)
     if kind is Family.JSTAR_SLICE:
-        return _blocks(n, ss_prime, p, p, vectors)
+        return _blocks(n, ss_prime, p, p, vectors, codes)
     if kind is Family.IDEMPOTENTS:
-        return _idempotent_blocks(n, *((0, n - 1) if p is None else (p, p)))
+        return _idempotent_blocks(n, *((0, n - 1) if p is None else (p, p)), codes)
     if kind is Family.REQUISITE:
         if p == 0:
             return iter(())
@@ -261,7 +277,7 @@ def enumerate_family(spec: FamilySpec) -> list[PartialMap]:
     """All members of the family in canonical text order, as
     :func:`family_blocks` makes them, each vector wrapped unchecked: the
     scan builds only valid ones."""
-    return [_wrap(v) for _, vecs in family_blocks(spec) for v in vecs]
+    return [_wrap(v) for _, vecs in family_blocks(spec, codes=False) for v in vecs]
 
 
 # -- counting formulas ---------------------------------------------------
@@ -399,7 +415,7 @@ def _idempotents_at(n: int, lo: int, hi: int) -> dict[int, set[PartialMap]]:
     """The idempotents of SS'(n) of each height lo..hi, from one scan of
     those heights."""
     found: dict[int, set[PartialMap]] = {p: set() for p in range(lo, hi + 1)}
-    for _, vecs in _idempotent_blocks(n, lo, hi):
+    for _, vecs in _idempotent_blocks(n, lo, hi, codes=False):
         for v in vecs:
             a = _wrap(v)
             found[a.height()].add(a)

@@ -13,7 +13,6 @@ fast path (grouping by image / kernel / height).
 
 from __future__ import annotations
 
-import json
 from array import array
 from itertools import chain, islice
 from typing import Iterable, Literal, Sequence
@@ -395,13 +394,16 @@ class EqPartition(Record):
     def from_keys(cls, keys: Sequence) -> "EqPartition":
         """Group indices by arbitrary hashable keys; each key is numbered
         the first time it is seen, so classes come in order of their
-        smallest member."""
+        smallest member.  The classes are cut, by their sizes, from one
+        stable sort of the indices by class, so no class is held as a list
+        beside its tuple."""
         ids: dict = {}
         cid = [ids.setdefault(key, len(ids)) for key in keys]
-        classes: list = [[] for _ in ids]
-        for i, c in enumerate(cid):
-            classes[c].append(i)
-        return cls(tuple(cid), tuple(map(tuple, classes)))
+        sizes = [0] * len(ids)
+        for c in cid:
+            sizes[c] += 1
+        members = iter(sorted(range(len(cid)), key=cid.__getitem__))
+        return cls(tuple(cid), tuple([tuple(islice(members, size)) for size in sizes]))
 
     def num_classes(self) -> int:
         return len(self.classes)
@@ -416,6 +418,8 @@ class EqPartition(Record):
         return self.classes[self.class_id[i]]
 
     def to_json(self, table: SemigroupTable, relation: str) -> str:
+        import json
+
         return json.dumps(
             {
                 "relation": relation,

@@ -15,6 +15,7 @@ generates the whole target.
 from __future__ import annotations
 
 from array import array
+from typing import TYPE_CHECKING
 
 from ._record import Record
 from .families import (
@@ -25,7 +26,6 @@ from .families import (
     formula_rstar_classes,
     height_counts,
 )
-from .green import SemigroupTable, target_table
 from .pmap import (
     PartialMap,
     alpha_i,
@@ -38,6 +38,9 @@ from .pmap import (
     member_ss_prime,
     requisite_from_image,
 )
+
+if TYPE_CHECKING:
+    from .green import SemigroupTable
 
 __all__ = [
     "closure_indices",
@@ -229,6 +232,10 @@ def rank_layered(
     result stands.  The target's order comes from ``height_counts``, not
     from a closed form.  A quotient target is its own top layer.
     """
+    # the one function here that builds a table: the library's closure and
+    # theorem checks run without compiling green
+    from .green import target_table
+
     top = n - 1 if target == "ss-prime" else p
     lo = top
     while True:

@@ -20,7 +20,7 @@ from schroeder import (
     verify_identity_corollary,
 )
 import schroeder.families
-from schroeder._census import key_census
+from schroeder._census import key_census, split_point
 from schroeder.families import _height_blocks, census, family_blocks, height_counts, ss_prime_minimal_generators
 from schroeder.pmap import eps_1k, kernel_vector, requisite_from_image
 
@@ -158,15 +158,22 @@ def pools(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_blocks_match_the_reference_walk_on_every_band(n):
-    """Without vectors the scan makes the same codes and no vector."""
-    for pool in pools(n):
+    """Without vectors the scan makes the same codes and no vector; without
+    codes, the vectors of the codes-and-vectors scan and no code.  The pools
+    are those of SS'(n) and LS(n), and the census's suffixes."""
+    scan = schroeder.families._blocks
+    for pool in (*pools(n), tuple(range(split_point(n), n + 1))):
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 assert_blocks_match_reference(n, pool, lo, hi)
-                blocks = list(schroeder.families._blocks(n, pool, lo, hi, vectors=False))
+                blocks = list(scan(n, pool, lo, hi, vectors=False))
                 assert all(vecs is None for _, vecs in blocks)
                 codes = [code for codes, _ in blocks for code in codes]
                 assert codes == [code for code, _ in scan_reference(n, pool, lo, hi)], (n, pool, lo, hi)
+                blocks = list(scan(n, pool, lo, hi, codes=False))
+                assert all(codes is None for codes, _ in blocks)
+                vectors = [v for _, vecs in blocks for v in vecs]
+                assert vectors == [v for _, vecs in scan(n, pool, lo, hi) for v in vecs], (n, pool, lo, hi)
 
 
 def edge_bands(n):
@@ -479,9 +486,9 @@ def test_minimal_generators_walk_once(monkeypatch):
     walks = []
     real = schroeder.families._blocks
 
-    def counting(n, domain_pool, lo, hi):
+    def counting(n, domain_pool, lo, hi, **kinds):
         walks.append((n, domain_pool, lo, hi))
-        return real(n, domain_pool, lo, hi)
+        return real(n, domain_pool, lo, hi, **kinds)
 
     monkeypatch.setattr(schroeder.families, "_blocks", counting)
     ss_prime_minimal_generators(6)

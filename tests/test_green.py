@@ -322,6 +322,20 @@ def test_from_keys_numbers_classes_by_smallest_member():
     assert got.classes == want.classes
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_from_keys_matches_the_sorted_grouping(seed):
+    """Seeded keys drawn from one value, a few, many, and all distinct (all
+    singletons), and no keys at all: the classes and ids of the sort."""
+    rng = random.Random(seed)
+    size = rng.randrange(1, 2000)
+    cases = [[rng.randrange(k) for _ in range(size)] for k in (1, 5, size)]
+    cases += [rng.sample(range(size), size), []]
+    for keys in cases:
+        got = EqPartition.from_keys(keys)
+        assert got == partition_reference(keys), keys
+        assert all(type(members) is tuple for members in got.classes)
+
+
 @pytest.mark.parametrize("p", [1, 3])
 def test_target_table_of_ss_prime_takes_no_height(p):
     with pytest.raises(ValueError, match=f"takes no height p .*p={p}"):

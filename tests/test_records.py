@@ -1,9 +1,11 @@
 """Value semantics of the package's records: equality and hash of the
 field tuple within one class, a ``Name(field=value, ...)`` repr, positional
 and keyword construction with defaults, no assignment, pickling through the
-constructor; a weakly referenceable ``SemigroupTable``; and a CLI start-up
-that loads neither ``dataclasses`` nor ``inspect``."""
+constructor; a weakly referenceable ``SemigroupTable``; the package's lazy
+namespace; and start-ups that load only the modules each entry point runs,
+never ``dataclasses`` or ``inspect``."""
 
+import importlib
 import os
 import pickle
 import subprocess
@@ -118,13 +120,56 @@ def test_semigroup_table_is_weakly_referenceable():
     assert ref() is None
 
 
+def _cli(*argv) -> str:
+    """A probe that runs the CLI as the installed script does, importing
+    ``schroeder.cli`` as a module, with its output discarded."""
+    return (f"import io; from schroeder.cli import main; out, sys.stdout = sys.stdout, io.StringIO(); "
+            f"code = main({list(argv)!r}); sys.stdout = out; assert code == 0, code")
+
+
+# what each entry point runs, and the modules it must leave unloaded: every
+# command is a short process that compiles what it imports when no bytecode
+# is written
+ENTRY_POINTS = [
+    ("import schroeder",
+     ["schroeder._census", "schroeder._record", "schroeder.cli", "schroeder.families",
+      "schroeder.green", "schroeder.pmap", "schroeder.rank"]),
+    # dataclasses pulls in inspect, ast, dis and tokenize
+    ("import schroeder.cli", ["dataclasses", "inspect"]),
+    (_cli("invariants", "--n", "4"), ["schroeder.green", "schroeder.rank", "csv"]),
+    (_cli("enumerate", "--family", "ss-prime", "--n", "4"), ["schroeder.green", "schroeder.rank", "csv"]),
+    (_cli("green", "--relation", "D", "--n", "4"), ["schroeder.rank", "schroeder._census", "json", "csv"]),
+    ("import schroeder as S; S.closure(S.ss_prime_minimal_generators(4)); assert S.verify_theorem_hq(4)",
+     ["schroeder.green"]),
+]
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # importing dataclasses pulls in inspect, ast, dis and tokenize, a cost
-    # every command would pay at start-up
+    """Each entry point, in a fresh interpreter, leaves its modules
+    unloaded, and none loads dataclasses or inspect."""
     src = str(Path(schroeder.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, schroeder.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    for code, unloaded in ENTRY_POINTS:
+        unloaded = sorted({*unloaded, "dataclasses", "inspect"})
+        probe = f"import sys\n{code}\nprint(sorted(set({unloaded!r}) & set(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert run.returncode == 0, (code, run.stderr)
+        assert run.stdout == "[]\n", code
+
+
+def test_package_namespace_resolves_each_name_from_its_home_module():
+    """Each public name is the object its home module defines, whether or
+    not that module was imported first; ``dir`` lists the contract, a star
+    import binds it, and an unknown name raises AttributeError."""
+    modules = [importlib.import_module(f"schroeder.{m}") for m in ("families", "green", "pmap", "rank")]
+    for name in schroeder.__all__:
+        homes = [m for m in modules if name in m.__all__]
+        assert len(homes) == 1, (name, homes)
+        assert getattr(schroeder, name) is getattr(homes[0], name), name
+    assert {"__all__", "__version__", *schroeder.__all__} <= set(dir(schroeder))
+    namespace = {}
+    exec("from schroeder import *", namespace)
+    assert all(namespace[name] is getattr(schroeder, name) for name in schroeder.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        schroeder.no_such_name  # noqa: B018
